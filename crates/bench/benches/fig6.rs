@@ -6,6 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mosaic_core::mmu::{Arity, Associativity};
 use mosaic_core::sim::fig6::{run_workload, Fig6Config, TlbKind};
+use mosaic_core::sim::RunOpts;
 use mosaic_core::workloads::standard_suite;
 
 fn config() -> Fig6Config {
@@ -27,7 +28,7 @@ fn bench_fig6_per_workload(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("run", name), &idx, |b, &idx| {
             b.iter(|| {
                 let mut w = standard_suite(0, 1).remove(idx);
-                let rows = run_workload(&config(), w.as_mut());
+                let rows = run_workload(&config(), w.as_mut(), &RunOpts::default());
                 // Shape assertion: mosaic-8 never misses more than
                 // mosaic-4 beyond noise on the locality workloads.
                 if name != "GUPS" {

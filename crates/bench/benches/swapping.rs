@@ -9,6 +9,7 @@ use mosaic_core::mem::{
     PageKey, Vpn,
 };
 use mosaic_core::sim::pressure::{run_pressure, PressureConfig, PressureWorkload};
+use mosaic_core::sim::RunOpts;
 
 fn layout() -> MemoryLayout {
     MemoryLayout::new(IcebergConfig::paper_default(16)) // 1024 frames
@@ -57,7 +58,8 @@ fn bench_pressure_row(c: &mut Criterion) {
             batch: mosaic_core::sim::fig6::DEFAULT_BATCH,
         };
         b.iter(|| {
-            let row = run_pressure(PressureWorkload::XsBench, 1.14, &cfg);
+            let (row, _) = run_pressure(PressureWorkload::XsBench, 1.14, &cfg, &RunOpts::default())
+                .expect("fault-free pressure run cannot fail");
             // Shape assertion from §4.3: both managers swap once
             // over-committed, and Mosaic's first conflict is late.
             assert!(row.linux_swaps > 0 && row.mosaic_swaps > 0);

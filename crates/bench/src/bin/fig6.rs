@@ -16,9 +16,9 @@
 //! time and ns/access per workload go to stderr.
 
 use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::{run_opts, Args, JOBS_HELP};
 use mosaic_core::sim::dual::KernelConfig;
-use mosaic_core::sim::fig6::{render, run_workload_observed_jobs, Fig6Config, TlbKind};
+use mosaic_core::sim::fig6::{render, run_workload, Fig6Config, TlbKind};
 use mosaic_core::sim::platform::TlbPlatform;
 use mosaic_core::sim::report::Table;
 use mosaic_core::mmu::{Arity, Associativity};
@@ -37,7 +37,6 @@ stdout is byte-identical at every --batch and --jobs value.";
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
     let scale = args.get_u64("scale", 1) as u32;
     let entries = args.get_u64("entries", 1024) as usize;
     let which = args
@@ -58,6 +57,7 @@ fn main() {
         batch: args.get_u64("batch", mosaic_core::sim::fig6::DEFAULT_BATCH as u64) as usize,
     };
     let sink = ObsSink::from_args(&args, "fig6");
+    let opts = run_opts(&args, &sink, None);
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("scale", mosaic_obs::Value::from(u64::from(scale))),
@@ -124,9 +124,9 @@ fn main() {
 
     for w in &mut workloads {
         let name = w.meta().name.to_string();
-        eprintln!("[fig6] running {name} on {jobs} thread(s) ...");
+        eprintln!("[fig6] running {name} on {} thread(s) ...", opts.jobs);
         let t0 = std::time::Instant::now();
-        let rows = run_workload_observed_jobs(&cfg, w.as_mut(), sink.handle(), sink.interval(), jobs);
+        let rows = run_workload(&cfg, w.as_mut(), &opts);
         let wall = t0.elapsed();
         // Each grid cell replays the full reference stream once.
         let stepped: u64 = rows.iter().map(|r| r.stats.accesses).sum();

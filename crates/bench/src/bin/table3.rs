@@ -13,15 +13,13 @@
 //! snapshots) as JSONL; render with `obs_report`.
 
 use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::{run_opts, Args, JOBS_HELP};
 use mosaic_core::iceberg::stats::Summary;
 use mosaic_core::sim::platform::SwapPlatform;
-use mosaic_core::sim::pressure::{
-    run_pressure_observed, PressureConfig, PressureWorkload, ResilienceConfig,
-};
+use mosaic_core::sim::pressure::{run_pressure, PressureConfig, PressureWorkload};
 use mosaic_core::sim::report::Table;
-use mosaic_core::sim::run_cells;
-use mosaic_obs::{ObsHandle, Value};
+use mosaic_core::sim::run_grid;
+use mosaic_obs::Value;
 
 const USAGE: &str = "\
 table3 [--buckets N] [--runs K] [--csv] [--obs-out F] [--obs-interval R] [--jobs N]
@@ -34,10 +32,10 @@ identical at any thread count.";
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
     let buckets = args.get_u64("buckets", 64) as usize;
     let runs = args.get_u64("runs", 3).max(1);
     let sink = ObsSink::from_args(&args, "table3");
+    let opts = run_opts(&args, &sink, None);
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("buckets", Value::from(buckets as u64)),
@@ -59,21 +57,18 @@ fn main() {
     // memory, one row per (footprint, workload). Each (ratio, workload)
     // cell is independent, so the grid fans out across `--jobs` threads;
     // seeds stay tied to (workload, run), never to the thread.
-    let obs_interval = sink.interval();
-    let enabled = sink.is_enabled();
     let mut grid = Vec::new();
     for &ratio in &PressureConfig::table3_ratios() {
         for (widx, w) in PressureWorkload::ALL.into_iter().enumerate() {
-            let child = if enabled {
-                ObsHandle::enabled()
-            } else {
-                ObsHandle::noop()
-            };
-            grid.push((ratio, widx, w, child));
+            grid.push((ratio, widx, w));
         }
     }
-    eprintln!("[table3] {} cells x {runs} run(s) on {jobs} thread(s) ...", grid.len());
-    let outcomes = run_cells(jobs, grid, |_, (ratio, widx, w, child)| {
+    eprintln!(
+        "[table3] {} cells x {runs} run(s) on {} thread(s) ...",
+        grid.len(),
+        opts.jobs
+    );
+    let outcomes = run_grid(&opts, grid, |(ratio, widx, w), cell| {
         let mut first = Vec::new();
         let mut steady = Vec::new();
         let mut footprint = 0u64;
@@ -85,27 +80,17 @@ fn main() {
                 seed: 0x7AB1E + run * 131 + widx as u64 * 17,
                 batch: mosaic_core::sim::fig6::DEFAULT_BATCH,
             };
-            let (row, _) = run_pressure_observed(
-                w,
-                ratio,
-                &cfg,
-                &ResilienceConfig::none(),
-                &child,
-                obs_interval,
-            )
-            .unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}"));
+            let (row, _) = run_pressure(w, ratio, &cfg, cell)
+                .unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}"));
             footprint = row.footprint_bytes;
             if let (Some(f), Some(s)) = (row.first_conflict_pct, row.steady_state_pct) {
                 first.push(f);
                 steady.push(s);
             }
         }
-        ((w, footprint, first, steady), child)
+        (w, footprint, first, steady)
     });
-    for ((w, footprint, first, steady), child) in outcomes {
-        if enabled {
-            sink.handle().merge_from(&child);
-        }
+    for (w, footprint, first, steady) in outcomes {
         if first.is_empty() {
             continue; // no conflict at this footprint (headroom run)
         }

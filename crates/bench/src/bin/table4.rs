@@ -22,13 +22,13 @@
 //! `fault.unrecovered` event timeline; render `F` with `obs_report`.
 
 use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
-use mosaic_core::prelude::*;
+use mosaic_bench::{run_opts, Args, JOBS_HELP};
 use mosaic_core::sim::platform::SwapPlatform;
 use mosaic_core::sim::pressure::{
-    render_resilience, render_table4, run_table4_cells, run_table4_observed_jobs, PressureConfig,
-    PressureWorkload, ResilienceConfig,
+    render_resilience, render_table4, run_table4, PressureConfig, PressureWorkload,
+    ResilienceConfig,
 };
+use mosaic_core::sim::RunOpts;
 use mosaic_obs::Value;
 
 const USAGE: &str = "\
@@ -46,7 +46,6 @@ index, so fault sweeps are reproducible at any thread count.";
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
     let buckets = args.get_u64("buckets", 64) as usize;
     // Parsed up front so a malformed value fails before the long sweep.
     let fault_ppm = args.get_u64("fault-ppm", 0) as u32;
@@ -56,6 +55,8 @@ fn main() {
         batch: args.get_u64("batch", mosaic_core::sim::fig6::DEFAULT_BATCH as u64) as usize,
     };
     let sink = ObsSink::from_args(&args, "table4");
+    let opts = run_opts(&args, &sink, Some(cfg.seed));
+    let jobs = opts.jobs;
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("buckets", Value::from(buckets as u64)),
@@ -72,17 +73,14 @@ fn main() {
         PressureWorkload::ALL.len() * ratios.len()
     );
     let t0 = std::time::Instant::now();
-    let (rows, reports): (Vec<_>, Vec<_>) = run_table4_observed_jobs(
-        &cfg,
-        &ratios,
-        &ResilienceConfig::none(),
-        sink.handle(),
-        sink.interval(),
-        jobs,
-    )
-    .unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}"))
-    .into_iter()
-    .unzip();
+    let clean = RunOpts {
+        faults: ResilienceConfig::none(),
+        ..opts.clone()
+    };
+    let (rows, reports): (Vec<_>, Vec<_>) = run_table4(&cfg, &ratios, &clean)
+        .into_iter()
+        .map(|out| out.unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}")))
+        .unzip();
     let wall = t0.elapsed();
     let stepped: u64 = reports.iter().map(|r| r.accesses_driven).sum();
     if stepped > 0 {
@@ -123,27 +121,16 @@ fn main() {
     );
 
     if fault_ppm > 0 {
-        let res = ResilienceConfig {
-            plan: FaultPlan::NONE
-                .with_alloc_failures(fault_ppm)
-                .with_io_failures(fault_ppm, 2)
-                .with_toc_flips(fault_ppm),
-            fault_seed: cfg.seed ^ 0xFA17,
-            verify_every: 250_000,
-        };
         eprintln!(
             "[table4] {} cells on {jobs} thread(s) (faults {fault_ppm} ppm) ...",
             PressureWorkload::ALL.len() * ratios.len()
         );
-        let mut grid = Vec::new();
-        for w in PressureWorkload::ALL {
-            for &ratio in &ratios {
-                grid.push((w, ratio));
-            }
-        }
         let mut frows = Vec::new();
-        let outs = run_table4_cells(&cfg, &ratios, &res, sink.handle(), sink.interval(), jobs);
-        for ((w, ratio), out) in grid.into_iter().zip(outs) {
+        let outs = run_table4(&cfg, &ratios, &opts);
+        let grid = PressureWorkload::ALL
+            .into_iter()
+            .flat_map(|w| ratios.iter().map(move |&ratio| (w, ratio)));
+        for ((w, ratio), out) in grid.zip(outs) {
             match out {
                 Ok(row) => frows.push(row),
                 Err(e) => {

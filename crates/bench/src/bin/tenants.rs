@@ -19,10 +19,10 @@
 //! `--jobs 8` print byte-identical text, with or without `--fault-ppm`.
 
 use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
-use mosaic_core::prelude::*;
+use mosaic_bench::{run_opts, Args, JOBS_HELP};
 use mosaic_core::sim::pressure::ResilienceConfig;
 use mosaic_core::sim::report::Table;
+use mosaic_core::sim::RunOpts;
 use mosaic_core::tenants::{
     isolation_lines, render_fairness, render_isolation, summarize, HostileScenario, IsolationLine,
     TenantMix, TenantsConfig, TenantsRow,
@@ -114,34 +114,20 @@ fn aggregate_table(rows: &[(u64, &TenantsRow)]) -> Table {
     t
 }
 
-fn run_sweep(
-    base: &TenantsConfig,
-    loads_pct: &[u64],
-    res: &ResilienceConfig,
-    sink: &ObsSink,
-    jobs: usize,
-    label: &str,
-) {
+fn run_sweep(base: &TenantsConfig, loads_pct: &[u64], opts: &RunOpts, label: &str) {
     let loads: Vec<f64> = loads_pct.iter().map(|&p| p as f64 / 100.0).collect();
     eprintln!(
-        "[tenants] {} load point(s) x {} tenants on {jobs} thread(s){label} ...",
+        "[tenants] {} load point(s) x {} tenants on {} thread(s){label} ...",
         loads.len(),
-        base.tenants
+        base.tenants,
+        opts.jobs
     );
-    let outs = mosaic_core::tenants::run_tenants_grid(
-        base,
-        &[base.tenants],
-        &loads,
-        res,
-        sink.handle(),
-        sink.interval(),
-        jobs,
-    );
+    let outs = mosaic_core::tenants::run_tenants_grid(base, &[base.tenants], &loads, opts);
     let mut rows: Vec<(u64, TenantsRow)> = Vec::new();
     for (&pct, out) in loads_pct.iter().zip(outs) {
         match out {
             Ok((row, report)) => {
-                if !res.plan.is_none() {
+                if !opts.faults.plan.is_none() {
                     println!(
                         "load {pct}%{label}: dropped {} mosaic / {} linux, verify passes {}",
                         report.mosaic_dropped, report.linux_dropped, report.verify_passes
@@ -166,28 +152,16 @@ fn run_sweep(
     println!("{}", aggregate_table(&refs).render());
 }
 
-fn run_isolation_study(
-    base: &TenantsConfig,
-    loads_pct: &[u64],
-    res: &ResilienceConfig,
-    sink: &ObsSink,
-    jobs: usize,
-) {
+fn run_isolation_study(base: &TenantsConfig, loads_pct: &[u64], opts: &RunOpts) {
     let loads: Vec<f64> = loads_pct.iter().map(|&p| p as f64 / 100.0).collect();
     eprintln!(
-        "[tenants] isolation study: {} attacker, {} load point(s) x {} tenants on {jobs} thread(s) ...",
+        "[tenants] isolation study: {} attacker, {} load point(s) x {} tenants on {} thread(s) ...",
         base.hostile.name(),
         loads.len(),
-        base.tenants
+        base.tenants,
+        opts.jobs
     );
-    let outs = mosaic_core::tenants::run_isolation_grid(
-        base,
-        &loads,
-        res,
-        sink.handle(),
-        sink.interval(),
-        jobs,
-    );
+    let outs = mosaic_core::tenants::run_isolation_grid(base, &loads, opts);
     let mut lines: Vec<IsolationLine> = Vec::new();
     for (&pct, out) in loads_pct.iter().zip(outs) {
         match out {
@@ -209,7 +183,6 @@ fn run_isolation_study(
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
     let tenants = args.get_u64("tenants", 64) as usize;
     let buckets = args.get_u64("buckets", 64) as usize;
     let seed = args.get_u64("seed", 0x7E4A47);
@@ -253,6 +226,8 @@ fn main() {
         concurrent_alloc: args.has("concurrent-alloc"),
     };
 
+    let sink = ObsSink::from_args(&args, "tenants");
+    let opts = run_opts(&args, &sink, Some(seed));
     if base.concurrent_alloc {
         // Race the lock-free allocator for real before the sweep: the
         // first load point's schedule, partitioned across `jobs` worker
@@ -261,7 +236,7 @@ fn main() {
         let mut probe = base.clone();
         probe.load = loads_pct[0] as f64 / 100.0;
         let schedule = mosaic_core::tenants::build_schedule(&probe);
-        for threads in [1, jobs.max(2)] {
+        for threads in [1, opts.jobs.max(2)] {
             let rep = mosaic_core::tenants::contention_exercise(&probe, &schedule, threads);
             eprintln!(
                 "[tenants] contention: threads={} ops={} inserts={} removes={} conflicts={} final_len={} oracle={}",
@@ -280,7 +255,6 @@ fn main() {
         }
     }
 
-    let sink = ObsSink::from_args(&args, "tenants");
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("tenants", Value::from(tenants as u64)),
@@ -296,42 +270,18 @@ fn main() {
     }
 
     if isolation {
-        let res = if fault_ppm > 0 {
-            ResilienceConfig {
-                plan: FaultPlan::NONE
-                    .with_alloc_failures(fault_ppm)
-                    .with_io_failures(fault_ppm, 2)
-                    .with_toc_flips(fault_ppm),
-                fault_seed: seed ^ 0xFA17,
-                verify_every: 250_000,
-            }
-        } else {
-            ResilienceConfig::none()
-        };
-        run_isolation_study(&base, &loads_pct, &res, &sink, jobs);
+        run_isolation_study(&base, &loads_pct, &opts);
         sink.finish();
         return;
     }
 
-    run_sweep(
-        &base,
-        &loads_pct,
-        &ResilienceConfig::none(),
-        &sink,
-        jobs,
-        "",
-    );
-
+    let clean = RunOpts {
+        faults: ResilienceConfig::none(),
+        ..opts.clone()
+    };
+    run_sweep(&base, &loads_pct, &clean, "");
     if fault_ppm > 0 {
-        let res = ResilienceConfig {
-            plan: FaultPlan::NONE
-                .with_alloc_failures(fault_ppm)
-                .with_io_failures(fault_ppm, 2)
-                .with_toc_flips(fault_ppm),
-            fault_seed: seed ^ 0xFA17,
-            verify_every: 250_000,
-        };
-        run_sweep(&base, &loads_pct, &res, &sink, jobs, " [faults]");
+        run_sweep(&base, &loads_pct, &opts, " [faults]");
     }
 
     sink.finish();

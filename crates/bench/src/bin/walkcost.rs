@@ -16,13 +16,12 @@
 //! JSONL; render with `obs_report`.
 
 use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::{run_opts, Args, JOBS_HELP};
 use mosaic_core::mem::{Asid, PageKey, Vpn};
 use mosaic_core::mmu::{Arity, RadixTable, WalkCache};
 use mosaic_core::sim::report::Table;
-use mosaic_core::sim::run_cells;
+use mosaic_core::sim::run_grid;
 use mosaic_core::workloads::{BTreeConfig, BTreeWorkload, Workload};
-use mosaic_obs::ObsHandle;
 
 const USAGE: &str = "\
 walkcost [--keys N] [--lookups N] [--obs-out F] [--jobs N]
@@ -49,10 +48,10 @@ fn mvpn64_index(v: Vpn) -> u64 {
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
     let keys = args.get_u64("keys", 400_000);
     let lookups = args.get_u64("lookups", 40_000);
     let sink = ObsSink::from_args(&args, "walkcost");
+    let opts = run_opts(&args, &sink, None);
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("keys", mosaic_obs::Value::from(keys)),
@@ -94,15 +93,10 @@ fn main() {
 
     // Every design walks the same shared, read-only stream; each cell
     // owns its page table and an obs child merged back in design order.
-    let enabled = sink.is_enabled();
     let vpns = &vpns;
-    eprintln!("[walkcost] {} designs on {jobs} thread(s) ...", configs.len());
-    let outcomes = run_cells(jobs, configs, |_, (name, bits, per_level, index_of)| {
-        let child = if enabled {
-            ObsHandle::enabled()
-        } else {
-            ObsHandle::noop()
-        };
+    eprintln!("[walkcost] {} designs on {} thread(s) ...", configs.len(), opts.jobs);
+    let rows = run_grid(&opts, configs, |(name, bits, per_level, index_of), cell| {
+        let child = &cell.obs;
         // Short metric label, e.g. "vanilla" / "mosaic-16".
         let label = name
             .split_whitespace()
@@ -123,26 +117,22 @@ fn main() {
             depth_hist.record(touched);
         }
         let mut wc = WalkCache::new(16);
-        wc.set_obs(&child, &label);
+        wc.set_obs(child, &label);
         let mut cached_fetches = 0u64;
         for v in vpns {
             cached_fetches += u64::from(wc.walk(&table, index_of(*v)).1);
         }
         let n = vpns.len() as f64;
-        let row = vec![
+        vec![
             name,
             table.levels().to_string(),
             table.len().to_string(),
             table.node_count().to_string(),
             format!("{:.2}", raw_fetches as f64 / n),
             format!("{:.2}", cached_fetches as f64 / n),
-        ];
-        (row, child)
+        ]
     });
-    for (row, child) in outcomes {
-        if enabled {
-            sink.handle().merge_from(&child);
-        }
+    for row in rows {
         t.row(row);
     }
     println!("{}", t.render());

@@ -16,6 +16,9 @@
 pub mod obs;
 pub mod obs_report;
 
+use mosaic_core::sim::pressure::ResilienceConfig;
+use mosaic_core::sim::RunOpts;
+
 /// A malformed command-line flag, reported instead of a panic so the
 /// binaries can print a usage-style diagnostic and exit with a status
 /// code rather than a backtrace.
@@ -54,6 +57,23 @@ pub const JOBS_HELP: &str = "\
                 trace; results and observability are merged back in serial
                 order, so output bytes are identical at every N.
   --help        Print this help and exit.";
+
+/// The [`RunOpts`] a sweep binary runs under: `--jobs` (a bad value
+/// exits 2), the sink's handle and `--obs-interval`, and — for binaries
+/// that take `--fault-ppm` and pass their run `seed` — the
+/// [`ResilienceConfig::from_ppm`] plan at that rate, with injector
+/// seed `seed ^ 0xFA17`. Without `seed` the run is fault-free.
+pub fn run_opts(args: &Args, sink: &obs::ObsSink, seed: Option<u64>) -> RunOpts {
+    let faults = seed.map_or_else(ResilienceConfig::none, |seed| {
+        ResilienceConfig::from_ppm(args.get_u64("fault-ppm", 0) as u32, seed ^ 0xFA17)
+    });
+    RunOpts {
+        faults,
+        obs: sink.handle().clone(),
+        obs_interval: sink.interval(),
+        jobs: args.jobs_or_exit(),
+    }
+}
 
 /// A minimal flag parser: `--name value` pairs plus positional arguments.
 ///

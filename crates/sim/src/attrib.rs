@@ -33,18 +33,19 @@
 //! actually occur.
 //!
 //! There is **one** execution engine — record once, fan cells out via
-//! [`run_cells`] — used at every `--jobs` value, so results and the
+//! [`run_grid`] — used at every `--jobs` value, so results and the
 //! merged observability stream are byte-identical at any thread count.
 
 use crate::dual::reference_os;
 use crate::fig6::{run_fig6_cell, CellSpec, TlbKind};
 use crate::os::USER_ASID;
-use crate::parallel::{derive_seed, run_cells};
+use crate::parallel::{run_grid, RunOpts};
+use crate::pressure::ResilienceConfig;
 use crate::report::{group_digits, Table};
 use crate::trace_buffer::TraceBufferBuilder;
 use mosaic_mem::{
-    Asid, FaultPlan, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicMemory,
-    PageKey, TenantQuota, PAGE_SIZE,
+    Asid, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicMemory, PageKey,
+    TenantQuota, PAGE_SIZE,
 };
 use mosaic_mmu::{Arity, Associativity, TlbStats};
 use mosaic_obs::{AttribCategory, AttribCell, ObsHandle, Value};
@@ -253,6 +254,12 @@ enum AttribCellSpec {
     Mem(MemKind),
 }
 
+/// What one cell contributes to the report.
+enum AttribRow {
+    Tlb(TlbAttribRow),
+    Mem(MemAttribRow),
+}
+
 /// Runs the full experiment (both workloads) on `jobs` threads.
 ///
 /// Attribution columns are populated only when `obs` has attribution
@@ -272,8 +279,16 @@ pub fn run_attrib(
         tlb: Vec::new(),
         mem: Vec::new(),
     };
+    // Memory cells inject at the configured rate; their injector seeds
+    // derive from (seed, cell index) at every job count.
+    let opts = RunOpts {
+        faults: ResilienceConfig::from_ppm(cfg.fault_ppm, cfg.seed),
+        obs: obs.clone(),
+        obs_interval,
+        jobs,
+    };
     for wl in AttribWorkload::ALL {
-        run_one_workload(cfg, wl, obs, obs_interval, jobs, &mut report);
+        run_one_workload(cfg, wl, &opts, &mut report);
     }
     report
 }
@@ -282,11 +297,10 @@ pub fn run_attrib(
 fn run_one_workload(
     cfg: &AttribConfig,
     wl: AttribWorkload,
-    obs: &ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
+    opts: &RunOpts,
     report: &mut AttribReport,
 ) {
+    let (obs, obs_interval) = (&opts.obs, opts.obs_interval);
     let mut workload = wl.build(cfg.footprint_pages(), cfg.seed);
     let meta = workload.meta();
     let footprint_pages = meta.footprint_bytes.div_ceil(PAGE_SIZE) + 16;
@@ -324,31 +338,29 @@ fn run_one_workload(
     // Cell order fixes both the report row order and the merged-stream
     // order: per associativity the vanilla cell then one mosaic cell
     // per arity (Figure 6's order), then the two memory managers.
-    let mut inputs: Vec<(AttribCellSpec, ObsHandle)> = Vec::new();
+    let mut specs: Vec<AttribCellSpec> = Vec::new();
     for &assoc in &cfg.associativities {
-        inputs.push((AttribCellSpec::Tlb(CellSpec::Vanilla(assoc)), obs.child()));
+        specs.push(AttribCellSpec::Tlb(CellSpec::Vanilla(assoc)));
         for &arity in &cfg.arities {
-            inputs.push((
-                AttribCellSpec::Tlb(CellSpec::Mosaic(assoc, arity)),
-                obs.child(),
-            ));
+            specs.push(AttribCellSpec::Tlb(CellSpec::Mosaic(assoc, arity)));
         }
     }
-    inputs.push((AttribCellSpec::Mem(MemKind::Mosaic), obs.child()));
-    inputs.push((AttribCellSpec::Mem(MemKind::Linux), obs.child()));
+    specs.push(AttribCellSpec::Mem(MemKind::Mosaic));
+    specs.push(AttribCellSpec::Mem(MemKind::Linux));
 
-    let outcomes = run_cells(jobs, inputs, |i, (spec, child)| {
-        let out = match spec {
+    let rows = run_grid(opts, specs, |spec, cell| {
+        let child = &cell.obs;
+        let stats = match spec {
             AttribCellSpec::Tlb(tlb_spec) => Some(run_fig6_cell(
                 &os,
                 &trace,
                 cfg.tlb_entries,
                 tlb_spec,
-                &child,
+                child,
                 &snapshots,
             )),
             AttribCellSpec::Mem(kind) => {
-                run_mem_cell(cfg, kind, &trace, &child, &snapshots, i);
+                run_mem_cell(cfg, kind, &trace, cell, &snapshots);
                 None
             }
         };
@@ -358,10 +370,6 @@ fn run_one_workload(
         if child.is_enabled() {
             child.snapshot(refs);
         }
-        (spec, out, child)
-    });
-
-    for (spec, stats, child) in outcomes {
         match spec {
             AttribCellSpec::Tlb(tlb_spec) => {
                 let (assoc, kind, label) = match tlb_spec {
@@ -377,7 +385,7 @@ fn run_one_workload(
                     ),
                 };
                 let table = child.attrib_table(&label);
-                report.tlb.push(TlbAttribRow {
+                AttribRow::Tlb(TlbAttribRow {
                     workload: wl.name(),
                     assoc,
                     kind,
@@ -385,11 +393,11 @@ fn run_one_workload(
                     compulsory: table.category_total(AttribCategory::Compulsory),
                     capacity: table.category_total(AttribCategory::Capacity),
                     conflict: table.category_total(AttribCategory::Conflict),
-                });
+                })
             }
             AttribCellSpec::Mem(kind) => {
                 let table = child.attrib_table(&format!("{}.faults", kind.prefix()));
-                report.mem.push(MemAttribRow {
+                AttribRow::Mem(MemAttribRow {
                     workload: wl.name(),
                     manager: kind.prefix(),
                     cold: table.category_total(AttribCategory::Cold),
@@ -399,11 +407,14 @@ fn run_one_workload(
                     shootdown: table.category_total(AttribCategory::Shootdown),
                     dropped: child.counter_value(&format!("{}.attrib_dropped", kind.prefix())),
                     blame: table.cells(),
-                });
+                })
             }
         }
-        if obs.is_enabled() {
-            obs.merge_from(&child);
+    });
+    for row in rows {
+        match row {
+            AttribRow::Tlb(r) => report.tlb.push(r),
+            AttribRow::Mem(r) => report.mem.push(r),
         }
     }
     if obs.is_enabled() {
@@ -422,23 +433,13 @@ fn run_mem_cell(
     cfg: &AttribConfig,
     kind: MemKind,
     trace: &crate::trace_buffer::TraceBuffer,
-    child: &ObsHandle,
+    cell: &RunOpts,
     snapshots: &[(u64, u64)],
-    cell_index: usize,
 ) {
     let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let plan = if cfg.fault_ppm > 0 {
-        FaultPlan::NONE
-            .with_alloc_failures(cfg.fault_ppm)
-            .with_io_failures(cfg.fault_ppm, 2)
-            .with_toc_flips(cfg.fault_ppm)
-    } else {
-        FaultPlan::NONE
-    };
-    // Injector seeds derive from (seed, cell index) at *every* job
-    // count, so fault placement is identical no matter how many
-    // threads run the grid.
-    let fault_seed = derive_seed(cfg.seed, cell_index as u64);
+    let child = &cell.obs;
+    // The cell's injector seed is already derived from its grid index.
+    let (plan, fault_seed) = (cell.faults.plan, cell.faults.fault_seed);
     let mut mosaic_mgr;
     let mut linux_mgr;
     let mgr: &mut dyn MemoryManager = match kind {

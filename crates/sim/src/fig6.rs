@@ -3,19 +3,21 @@
 //!
 //! Two execution engines produce byte-identical results:
 //!
-//! * the **serial** engine ([`run_workload`]) drives one [`DualSim`]
+//! * the **serial** engine (`opts.jobs == 1`) drives one [`DualSim`]
 //!   whose grid of TLBs shares a single pass over the trace;
-//! * the **parallel** engine ([`run_workload_jobs`]) records the
+//! * the **parallel** engine (any other `opts.jobs`) records the
 //!   combined user+kernel reference stream once into a
 //!   [`TraceBuffer`], resolves all demand mapping in that single
 //!   reference pass, then fans the (associativity × design) cells out
 //!   across threads — each cell replaying the shared stream against its
 //!   own TLB and page-table walker. Results are collected in the serial
 //!   engine's instance order, so output is identical at any `--jobs`.
+//!
+//! [`run_workload`] picks between them.
 
 use crate::dual::{reference_os, DualSim, KernelConfig, KernelInjector};
 use crate::os::OsModel;
-use crate::parallel::run_cells;
+use crate::parallel::{run_grid, RunOpts};
 use crate::report::{humanize, Table};
 use crate::trace_buffer::{TraceBuffer, TraceBufferBuilder};
 use mosaic_mem::{AccessKind, Asid, Cpfn, Pfn, VirtAddr, PAGE_SIZE};
@@ -115,18 +117,47 @@ impl Fig6Row {
     }
 }
 
-/// Runs the sweep for one workload: a single pass over its trace feeds
-/// every (associativity × design) TLB simultaneously.
-pub fn run_workload(cfg: &Fig6Config, workload: &mut dyn Workload) -> Vec<Fig6Row> {
-    run_workload_observed(cfg, workload, &mosaic_obs::ObsHandle::noop(), 0)
+/// Runs the Figure 6 sweep for one workload on `opts.jobs` threads;
+/// rows are byte-identical at any job count.
+///
+/// `opts.jobs == 1` runs the serial engine, where a single pass over
+/// the trace feeds every (associativity × design) TLB simultaneously;
+/// otherwise the reference stream is recorded once and the grid's
+/// cells replay it in parallel (`0` = machine parallelism). When
+/// `opts.obs` is enabled every TLB instance and page-table walker
+/// registers on it (see [`DualSim::set_obs`] for the labeling), and —
+/// when `opts.obs_interval > 0` — the registry is snapshotted every
+/// `opts.obs_interval` user accesses, producing the per-interval
+/// miss-rate series. `opts.faults` is unused: no fault is injected
+/// into the TLB models.
+pub fn run_workload(cfg: &Fig6Config, workload: &mut dyn Workload, opts: &RunOpts) -> Vec<Fig6Row> {
+    if opts.jobs == 1 {
+        run_serial(cfg, workload, &opts.obs, opts.obs_interval)
+    } else {
+        run_replay(cfg, workload, opts)
+    }
 }
 
-/// [`run_workload`] with metric export: every TLB instance and page-table
-/// walker registers on `obs` (see [`DualSim::set_obs`] for the labeling),
-/// and — when `obs_interval > 0` — the registry is snapshotted every
-/// `obs_interval` user accesses, producing the per-interval miss-rate
-/// series. With a noop handle this is exactly [`run_workload`].
-pub fn run_workload_observed(
+/// [`run_workload`] with its options spelled out. Exists only for the
+/// benchmark in `perfbench/`, which calls it by this name.
+pub fn run_workload_observed_jobs(
+    cfg: &Fig6Config,
+    workload: &mut dyn Workload,
+    obs: &mosaic_obs::ObsHandle,
+    obs_interval: u64,
+    jobs: usize,
+) -> Vec<Fig6Row> {
+    let opts = RunOpts {
+        obs: obs.clone(),
+        obs_interval,
+        jobs,
+        ..RunOpts::default()
+    };
+    run_workload(cfg, workload, &opts)
+}
+
+/// The serial engine: one [`DualSim`] over a single pass of the trace.
+fn run_serial(
     cfg: &Fig6Config,
     workload: &mut dyn Workload,
     obs: &mosaic_obs::ObsHandle,
@@ -369,38 +400,17 @@ pub(crate) fn run_fig6_cell(
     sim.stats()
 }
 
-/// [`run_workload`] on `jobs` threads, byte-identical at any job count.
-///
-/// `jobs == 1` routes to the serial engine; otherwise the reference
-/// stream is recorded once and the grid's cells replay it in parallel.
-/// `jobs == 0` uses the machine's available parallelism.
-pub fn run_workload_jobs(
-    cfg: &Fig6Config,
-    workload: &mut dyn Workload,
-    jobs: usize,
-) -> Vec<Fig6Row> {
-    run_workload_observed_jobs(cfg, workload, &mosaic_obs::ObsHandle::noop(), 0, jobs)
-}
-
-/// [`run_workload_observed`] on `jobs` threads.
+/// The parallel engine.
 ///
 /// The reference pass registers the allocator and emits the interval
 /// snapshots it can observe (allocator gauges evolve during recording);
-/// each cell registers its TLB and walker on a private child registry
-/// under the serial engine's labels and snapshots it at the same
-/// user-access positions. Children merge into `obs` in cell-index order
-/// after the join, so the export is deterministic at any `--jobs` and
-/// merged counter totals equal a serial run's.
-pub fn run_workload_observed_jobs(
-    cfg: &Fig6Config,
-    workload: &mut dyn Workload,
-    obs: &mosaic_obs::ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
-) -> Vec<Fig6Row> {
-    if jobs == 1 {
-        return run_workload_observed(cfg, workload, obs, obs_interval);
-    }
+/// each cell registers its TLB and walker on its [`run_grid`] child
+/// registry under the serial engine's labels and snapshots it at the
+/// same user-access positions. Children merge into `opts.obs` in cell
+/// order after the join, so the export is deterministic at any `--jobs`
+/// and merged counter totals equal a serial run's.
+fn run_replay(cfg: &Fig6Config, workload: &mut dyn Workload, opts: &RunOpts) -> Vec<Fig6Row> {
+    let (obs, obs_interval) = (&opts.obs, opts.obs_interval);
     let meta = workload.meta();
     let footprint_pages = meta.footprint_bytes.div_ceil(PAGE_SIZE) + 16;
     let kernel_pages = cfg.kernel.map_or(0, |k| k.pages);
@@ -454,34 +464,26 @@ pub fn run_workload_observed_jobs(
 
     // Fan the grid out: serial instance order (per associativity, the
     // vanilla cell then one mosaic cell per arity).
-    let mut inputs: Vec<(CellSpec, mosaic_obs::ObsHandle)> = Vec::new();
+    let mut specs: Vec<CellSpec> = Vec::new();
     for &assoc in &cfg.associativities {
-        inputs.push((CellSpec::Vanilla(assoc), obs.child()));
+        specs.push(CellSpec::Vanilla(assoc));
         for &arity in &cfg.arities {
-            inputs.push((CellSpec::Mosaic(assoc, arity), obs.child()));
+            specs.push(CellSpec::Mosaic(assoc, arity));
         }
     }
-    let outcomes = run_cells(jobs, inputs, |_, (spec, child)| {
-        let stats = run_fig6_cell(&os, &trace, cfg.tlb_entries, spec, &child, &snapshots);
-        (spec, stats, child)
-    });
-
-    let mut rows = Vec::with_capacity(outcomes.len());
-    for (spec, stats, child) in outcomes {
-        if obs.is_enabled() {
-            obs.merge_from(&child);
-        }
+    let rows = run_grid(opts, specs, |spec, cell| {
+        let stats = run_fig6_cell(&os, &trace, cfg.tlb_entries, spec, &cell.obs, &snapshots);
         let (assoc, kind) = match spec {
             CellSpec::Vanilla(assoc) => (assoc, TlbKind::Vanilla),
             CellSpec::Mosaic(assoc, arity) => (assoc, TlbKind::Mosaic(arity)),
         };
-        rows.push(Fig6Row {
+        Fig6Row {
             workload: meta.name.to_string(),
             assoc,
             kind,
             stats,
-        });
-    }
+        }
+    });
     if obs.is_enabled() {
         os.publish_obs();
         obs.snapshot(user_accesses);
@@ -554,7 +556,23 @@ mod tests {
             },
             5,
         );
-        run_workload(&cfg, &mut w)
+        run_workload(&cfg, &mut w, &RunOpts::default())
+    }
+
+    fn on(jobs: usize) -> RunOpts {
+        RunOpts {
+            jobs,
+            ..RunOpts::default()
+        }
+    }
+
+    fn observed(obs: &mosaic_obs::ObsHandle, jobs: usize) -> RunOpts {
+        RunOpts {
+            obs: obs.clone(),
+            obs_interval: 5_000,
+            jobs,
+            ..RunOpts::default()
+        }
     }
 
     #[test]
@@ -615,9 +633,9 @@ mod tests {
     #[test]
     fn parallel_engine_matches_serial_without_kernel() {
         let cfg = Fig6Config::quick_test();
-        let serial = run_workload(&cfg, &mut gups_at(5));
+        let serial = run_workload(&cfg, &mut gups_at(5), &on(1));
         for jobs in [2, 4] {
-            let par = run_workload_jobs(&cfg, &mut gups_at(5), jobs);
+            let par = run_workload(&cfg, &mut gups_at(5), &on(jobs));
             assert_eq!(par, serial, "jobs={jobs}");
         }
     }
@@ -632,9 +650,9 @@ mod tests {
             period: 16,
         });
         cfg.arities = vec![Arity::new(4), Arity::new(8)];
-        let serial = run_workload(&cfg, &mut gups_at(9));
+        let serial = run_workload(&cfg, &mut gups_at(9), &on(1));
         for jobs in [2, 8] {
-            let par = run_workload_jobs(&cfg, &mut gups_at(9), jobs);
+            let par = run_workload(&cfg, &mut gups_at(9), &on(jobs));
             assert_eq!(par, serial, "jobs={jobs}");
         }
     }
@@ -647,9 +665,9 @@ mod tests {
             period: 8,
         });
         let serial_obs = mosaic_obs::ObsHandle::enabled();
-        let serial = run_workload_observed(&cfg, &mut gups_at(7), &serial_obs, 5_000);
+        let serial = run_workload(&cfg, &mut gups_at(7), &observed(&serial_obs, 1));
         let par_obs = mosaic_obs::ObsHandle::enabled();
-        let par = run_workload_observed_jobs(&cfg, &mut gups_at(7), &par_obs, 5_000, 4);
+        let par = run_workload(&cfg, &mut gups_at(7), &observed(&par_obs, 4));
         assert_eq!(par, serial);
         for name in [
             "tlb.vanilla.direct.misses",
@@ -672,7 +690,7 @@ mod tests {
         let cfg = Fig6Config::quick_test();
         let export = |jobs| {
             let obs = mosaic_obs::ObsHandle::enabled();
-            run_workload_observed_jobs(&cfg, &mut gups_at(3), &obs, 5_000, jobs);
+            run_workload(&cfg, &mut gups_at(3), &observed(&obs, jobs));
             obs.render_jsonl()
         };
         let two = export(2);

@@ -19,11 +19,12 @@
 //!
 //! ```
 //! use mosaic_sim::fig6::{Fig6Config, run_workload};
+//! use mosaic_sim::RunOpts;
 //! use mosaic_workloads::{Gups, GupsConfig};
 //!
 //! let cfg = Fig6Config::quick_test();
 //! let mut w = Gups::new(GupsConfig { table_bytes: 1 << 20, updates: 5_000 }, 1);
-//! let rows = run_workload(&cfg, &mut w);
+//! let rows = run_workload(&cfg, &mut w, &RunOpts::default());
 //! assert!(!rows.is_empty());
 //! ```
 
@@ -52,7 +53,7 @@ pub use dcache::{run_coloring, ColoringResult, DataCache, Placement};
 pub use dual::{DualSim, KernelConfig};
 pub use fig6::{Fig6Config, Fig6Row, TlbKind};
 pub use frag::{run_frag, run_frag_jobs, FragConfig, FragResult};
-pub use parallel::{derive_seed, run_cells};
+pub use parallel::{derive_seed, run_cells, run_grid, RunOpts};
 pub use pressure::{PressureConfig, PressureRow, PressureWorkload, Table3Row};
 pub use report::Table;
 pub use trace_buffer::{TraceBuffer, TraceBufferBuilder, TraceReplayer};

@@ -14,9 +14,62 @@
 //! pure function of its inputs — which [`derive_seed`] guarantees for
 //! cells that need their own randomness, by deriving a per-cell seed
 //! from (base seed, cell index) instead of from any shared mutable RNG.
+//!
+//! [`run_grid`] is the sweep drivers' fan-out on top of it: given one
+//! [`RunOpts`], it hands every cell its own options — a fault seed
+//! derived from the cell index and a child observability registry —
+//! and merges the children back in grid order after the join.
 
+use crate::pressure::ResilienceConfig;
 use mosaic_hash::SplitMix64;
+use mosaic_obs::ObsHandle;
 use rayon::prelude::*;
+
+/// How to run a sweep or one of its cells: the fault plan, where
+/// observability goes, and how many worker threads the grid gets.
+///
+/// Every experiment driver takes `&RunOpts`; the default is a
+/// fault-free, unobserved, single-threaded run.
+#[derive(Debug, Clone)]
+pub struct RunOpts {
+    /// Fault plan and injector seed ([`ResilienceConfig::none`] = no
+    /// faults). Grid drivers derive each cell's seed from this one.
+    pub faults: ResilienceConfig,
+    /// Metric/event registry ([`ObsHandle::noop`] = collection off).
+    pub obs: ObsHandle,
+    /// Snapshot the registry every this many simulated references
+    /// (`0` = final snapshots only).
+    pub obs_interval: u64,
+    /// Worker threads for the grid (`0` = machine parallelism).
+    pub jobs: usize,
+}
+
+impl Default for RunOpts {
+    fn default() -> Self {
+        Self {
+            faults: ResilienceConfig::none(),
+            obs: ObsHandle::noop(),
+            obs_interval: 0,
+            jobs: 1,
+        }
+    }
+}
+
+impl RunOpts {
+    /// The options grid cell `index` runs under (see [`run_grid`]).
+    fn cell(&self, index: usize) -> RunOpts {
+        let mut faults = self.faults;
+        if !faults.plan.is_none() {
+            faults.fault_seed = derive_seed(faults.fault_seed, index as u64);
+        }
+        RunOpts {
+            faults,
+            obs: self.obs.child(),
+            obs_interval: self.obs_interval,
+            jobs: 1,
+        }
+    }
+}
 
 /// Derives cell `index`'s private seed from a sweep-wide base seed.
 ///
@@ -63,6 +116,34 @@ where
             .map(|(i, c)| f(i, c))
             .collect()
     })
+}
+
+/// Runs `f` over a sweep grid on `opts.jobs` threads. Cell `i` gets its
+/// own options: under a fault plan a fault seed of
+/// `derive_seed(opts.faults.fault_seed, i)` (a fault-free config is
+/// passed through untouched), a child of `opts.obs` that keeps its
+/// attribution switch, and one thread. After the join every child is
+/// merged into `opts.obs` in grid order. Results come back in input
+/// order, so both they and the merged stream are identical at any job
+/// count.
+pub fn run_grid<T, R, F>(opts: &RunOpts, cells: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T, &RunOpts) -> R + Sync,
+{
+    let outcomes = run_cells(opts.jobs, cells, |i, cell| {
+        let cell_opts = opts.cell(i);
+        let out = f(cell, &cell_opts);
+        (out, cell_opts.obs)
+    });
+    outcomes
+        .into_iter()
+        .map(|(out, child)| {
+            opts.obs.merge_from(&child);
+            out
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! * the **steady-state utilization** (ghosts push it past `1 − δ`);
 //! * total **swap I/O** for each manager (Table 4's columns).
 
-use crate::parallel::{derive_seed, run_cells};
+use crate::parallel::{run_grid, RunOpts};
 use crate::report::{group_digits, Table};
 use crate::trace_buffer::TraceBuffer;
 use mosaic_mem::{
@@ -181,7 +181,7 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// No faults, no interval verification: `run_pressure` semantics.
+    /// No faults, no interval verification.
     pub fn none() -> Self {
         Self {
             plan: FaultPlan::NONE,
@@ -189,10 +189,28 @@ impl ResilienceConfig {
             verify_every: 0,
         }
     }
+
+    /// The experiment binaries' `--fault-ppm` plan: transient allocation
+    /// failures, two-deep swap-I/O error bursts and ToC bit-flips, each
+    /// at `ppm` parts per million, with a `verify()` pass every 250 000
+    /// accesses. `ppm == 0` is [`ResilienceConfig::none`].
+    pub fn from_ppm(ppm: u32, fault_seed: u64) -> Self {
+        if ppm == 0 {
+            return Self::none();
+        }
+        Self {
+            plan: FaultPlan::NONE
+                .with_alloc_failures(ppm)
+                .with_io_failures(ppm, 2)
+                .with_toc_flips(ppm),
+            fault_seed,
+            verify_every: 250_000,
+        }
+    }
 }
 
 /// What the fault-injection harness observed in one pressure run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceReport {
     /// Injection/recovery counters of the Mosaic manager.
     pub mosaic: ResilienceStats,
@@ -226,82 +244,114 @@ impl ResilienceReport {
     }
 }
 
-/// Runs one workload at one footprint through both managers.
-pub fn run_pressure(
-    workload: PressureWorkload,
-    footprint_ratio: f64,
-    cfg: &PressureConfig,
-) -> PressureRow {
-    let (row, _) = run_pressure_resilient(workload, footprint_ratio, cfg, &ResilienceConfig::none())
-        .unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}"));
-    row
+/// The two managers a pressure-style run compares — Mosaic and the
+/// Linux-like baseline over one Iceberg layout — set up the same way for
+/// the Table 3/4 driver and the multi-tenant driver: fault injectors
+/// from `res` (the baseline's decision stream offset by `0x11`), metrics
+/// registered on `obs` under `mosaic.*` / `linux.*`, and a zeroed
+/// [`ResilienceReport`] for the drives to fill.
+#[derive(Debug)]
+pub struct ManagerPair {
+    /// Mosaic (Horizon LRU).
+    pub mosaic: MosaicMemory,
+    /// The Linux-like baseline.
+    pub linux: LinuxMemory,
+    /// What the drives observed.
+    pub report: ResilienceReport,
 }
 
-/// Runs one workload at one footprint through both managers under a fault
-/// plan, verifying structural invariants along the way.
+impl ManagerPair {
+    /// Fresh managers over `mem_buckets` Iceberg buckets; `seed` seeds
+    /// Mosaic's hash family.
+    pub fn new(mem_buckets: usize, seed: u64, res: &ResilienceConfig, obs: &ObsHandle) -> Self {
+        let layout = MemoryLayout::new(IcebergConfig::paper_default(mem_buckets));
+        let mut mosaic = MosaicMemory::new(layout, seed);
+        let mut linux = LinuxMemory::new(layout);
+        if !res.plan.is_none() {
+            mosaic = mosaic.with_fault_injector(res.plan, res.fault_seed);
+            linux = linux.with_fault_injector(res.plan, res.fault_seed ^ 0x11);
+        }
+        if obs.is_enabled() {
+            mosaic.set_obs(obs, "mosaic");
+            linux.set_obs(obs, "linux");
+        }
+        Self {
+            mosaic,
+            linux,
+            report: ResilienceReport::default(),
+        }
+    }
+
+    /// Closes the report after both drives: the managers' resilience
+    /// counters plus each drive's dropped-access count.
+    pub fn finish(&mut self, mosaic_dropped: u64, linux_dropped: u64) {
+        self.report.mosaic = *self.mosaic.resilience();
+        self.report.linux = *self.linux.resilience();
+        self.report.mosaic_dropped = mosaic_dropped;
+        self.report.linux_dropped = linux_dropped;
+    }
+
+    /// Publishes both managers' gauges to their registry.
+    pub fn publish_obs(&self) {
+        self.mosaic.publish_obs();
+        self.linux.publish_obs();
+    }
+
+    /// The aggregate row: both managers' swap I/O and their utilization
+    /// milestones, labelled `workload` at `footprint_bytes`.
+    pub fn row(&self, workload: &'static str, footprint_bytes: u64) -> PressureRow {
+        PressureRow {
+            workload,
+            footprint_bytes,
+            linux_swaps: self.linux.stats().swap_ops(),
+            mosaic_swaps: self.mosaic.stats().swap_ops(),
+            first_conflict_pct: self
+                .mosaic
+                .utilization_tracker()
+                .first_conflict()
+                .map(|u| u * 100.0),
+            steady_state_pct: self
+                .mosaic
+                .utilization_tracker()
+                .steady_state_mean()
+                .map(|u| u * 100.0),
+            linux_steady_pct: self
+                .linux
+                .utilization_tracker()
+                .steady_state_mean()
+                .map(|u| u * 100.0),
+        }
+    }
+}
+
+/// Runs one workload at one footprint through both managers under
+/// `opts.faults`, verifying structural invariants along the way.
 ///
-/// With [`ResilienceConfig::none`] this is exactly [`run_pressure`]: no
-/// injectors are attached and the resulting row is bit-identical to a
-/// fault-free run.
+/// With [`ResilienceConfig::none`] no injectors are attached and the
+/// row is that of a fault-free run. When `opts.obs` is enabled both
+/// managers register their counters (under `mosaic.*` and `linux.*`)
+/// and — when `opts.obs_interval > 0` — a full registry snapshot is
+/// taken every `opts.obs_interval` references, yielding the interval
+/// time series `obs_report` renders. The reference timeline is
+/// continuous across the two managers (Mosaic drives first, then the
+/// baseline resumes at the next reference), so snapshot and event
+/// timestamps in the export are strictly increasing. `opts.jobs` is
+/// unused: a single cell runs on the calling thread.
 ///
 /// # Errors
 ///
 /// Returns the violation if any structural `verify()` pass fails — that is
 /// a bug, not a tolerable fault. Injected faults never surface here; they
 /// are absorbed (retried or dropped) and counted in the report.
-pub fn run_pressure_resilient(
+pub fn run_pressure(
     workload: PressureWorkload,
     footprint_ratio: f64,
     cfg: &PressureConfig,
-    res: &ResilienceConfig,
+    opts: &RunOpts,
 ) -> MosaicResult<(PressureRow, ResilienceReport)> {
-    run_pressure_observed(workload, footprint_ratio, cfg, res, &ObsHandle::noop(), 0)
-}
-
-/// [`run_pressure_resilient`] with metric/event export: both managers
-/// register their counters (under `mosaic.*` and `linux.*`) on `obs`, and
-/// — when `obs_interval > 0` — a full registry snapshot is taken every
-/// `obs_interval` references, yielding the interval time series
-/// `obs_report` renders. With a [`ObsHandle::noop`] handle this is
-/// exactly [`run_pressure_resilient`].
-///
-/// The reference timeline is continuous across the two managers (Mosaic
-/// drives first, then the baseline resumes at the next reference), so
-/// snapshot and event timestamps in the export are strictly increasing.
-///
-/// # Errors
-///
-/// Returns the violation if any structural `verify()` pass fails.
-pub fn run_pressure_observed(
-    workload: PressureWorkload,
-    footprint_ratio: f64,
-    cfg: &PressureConfig,
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-) -> MosaicResult<(PressureRow, ResilienceReport)> {
+    let (res, obs, obs_interval) = (&opts.faults, &opts.obs, opts.obs_interval);
     let target = (cfg.mem_bytes() as f64 * footprint_ratio) as u64;
-    let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let mut mosaic = MosaicMemory::new(layout, cfg.seed);
-    let mut linux = LinuxMemory::new(layout);
-    if !res.plan.is_none() {
-        mosaic = mosaic.with_fault_injector(res.plan, res.fault_seed);
-        linux = linux.with_fault_injector(res.plan, res.fault_seed ^ 0x11);
-    }
-    if obs.is_enabled() {
-        mosaic.set_obs(obs, "mosaic");
-        linux.set_obs(obs, "linux");
-    }
-
-    let mut report = ResilienceReport {
-        mosaic: ResilienceStats::ZERO,
-        linux: ResilienceStats::ZERO,
-        mosaic_dropped: 0,
-        linux_dropped: 0,
-        verify_passes: 0,
-        accesses_driven: 0,
-        last_error: None,
-    };
+    let mut pair = ManagerPair::new(cfg.mem_buckets, cfg.seed, res, obs);
 
     // Identical reference streams for both managers: the workload is
     // built and recorded once, then replayed read-only for each drive —
@@ -311,7 +361,7 @@ pub fn run_pressure_observed(
     let trace = TraceBuffer::record(source.as_mut()).map_err(MosaicError::from)?;
     drop(source);
     // One drive per manager over the shared trace.
-    report.accesses_driven = trace.len() * 2;
+    pair.report.accesses_driven = trace.len() * 2;
     if obs.is_enabled() {
         obs.event(
             0,
@@ -325,7 +375,8 @@ pub fn run_pressure_observed(
     }
     let mut replay = trace.replayer();
     let (footprint, m_dropped, end) = drive(
-        &mut mosaic, &mut replay, target, cfg.batch, res, &mut report, 0, obs, obs_interval,
+        &mut pair.mosaic, &mut replay, target, cfg.batch, res, &mut pair.report, 0, obs,
+        obs_interval,
     )?;
     if let Some(e) = replay.into_error() {
         return Err(e.into());
@@ -347,41 +398,39 @@ pub fn run_pressure_observed(
     }
     let mut replay = trace.replayer();
     let (footprint2, l_dropped, end2) = drive(
-        &mut linux, &mut replay, target, cfg.batch, res, &mut report, start2, obs, obs_interval,
+        &mut pair.linux, &mut replay, target, cfg.batch, res, &mut pair.report, start2, obs,
+        obs_interval,
     )?;
     if let Some(e) = replay.into_error() {
         return Err(e.into());
     }
     debug_assert_eq!(footprint, footprint2);
-    report.mosaic = *mosaic.resilience();
-    report.linux = *linux.resilience();
-    report.mosaic_dropped = m_dropped;
-    report.linux_dropped = l_dropped;
+    pair.finish(m_dropped, l_dropped);
     if obs.is_enabled() {
-        mosaic.publish_obs();
-        linux.publish_obs();
+        pair.publish_obs();
         obs.snapshot(end2);
     }
+    let row = pair.row(workload.name(), footprint);
+    Ok((row, pair.report))
+}
 
-    let row = PressureRow {
-        workload: workload.name(),
-        footprint_bytes: footprint,
-        linux_swaps: linux.stats().swap_ops(),
-        mosaic_swaps: mosaic.stats().swap_ops(),
-        first_conflict_pct: mosaic
-            .utilization_tracker()
-            .first_conflict()
-            .map(|u| u * 100.0),
-        steady_state_pct: mosaic
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
-        linux_steady_pct: linux
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
+/// [`run_pressure`] under `res` with no observability. Exists only for
+/// the benchmark in `perfbench/`, which calls it by this name.
+///
+/// # Errors
+///
+/// As [`run_pressure`].
+pub fn run_pressure_resilient(
+    workload: PressureWorkload,
+    footprint_ratio: f64,
+    cfg: &PressureConfig,
+    res: &ResilienceConfig,
+) -> MosaicResult<(PressureRow, ResilienceReport)> {
+    let opts = RunOpts {
+        faults: *res,
+        ..RunOpts::default()
     };
-    Ok((row, report))
+    run_pressure(workload, footprint_ratio, cfg, &opts)
 }
 
 /// Drives one manager with `w`'s page-reference stream (callers build —
@@ -459,15 +508,30 @@ fn drive(
     Ok((w.meta().footprint_bytes, dropped, now))
 }
 
-/// Runs the full Table 4 grid.
-pub fn run_table4(cfg: &PressureConfig, ratios: &[f64]) -> Vec<PressureRow> {
-    let mut rows = Vec::new();
+/// Runs the Table 4 grid — every workload (outer) at every ratio
+/// (inner) — as [`run_pressure`] cells on `opts.jobs` threads.
+///
+/// Every cell is independent (own managers, own recorded trace) and
+/// runs under the options [`run_grid`] hands it: under a fault plan its injector seed
+/// derives from (`opts.faults.fault_seed`, cell index), and it exports
+/// into its own child registry, merged into `opts.obs` in grid order.
+/// Each cell's snapshots therefore carry that cell's own counters
+/// (`drive.begin` events delimit the cells), and the merged stream is
+/// byte-identical at any job count. A cell whose `verify()` fails comes
+/// back as `Err` in place, so callers can skip the row and keep the
+/// rest of the sweep.
+pub fn run_table4(
+    cfg: &PressureConfig,
+    ratios: &[f64],
+    opts: &RunOpts,
+) -> Vec<MosaicResult<(PressureRow, ResilienceReport)>> {
+    let mut cells = Vec::new();
     for &w in &PressureWorkload::ALL {
         for &r in ratios {
-            rows.push(run_pressure(w, r, cfg));
+            cells.push((w, r));
         }
     }
-    rows
+    run_grid(opts, cells, |(w, r), cell| run_pressure(w, r, cfg, cell))
 }
 
 /// Extracts Table 3 rows (runs that conflicted) from pressure results.
@@ -504,132 +568,6 @@ pub fn render_table4(rows: &[PressureRow]) -> Table {
         ]);
     }
     t
-}
-
-/// Runs the Table 4 grid under a fault plan, collecting resilience
-/// reports alongside the usual rows.
-///
-/// # Errors
-///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_resilient(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    run_table4_observed(cfg, ratios, res, &ObsHandle::noop(), 0)
-}
-
-/// The Table 4 grid with metric/event export: every (workload, ratio)
-/// cell runs through [`run_pressure_observed`] against the shared `obs`
-/// registry, so one JSONL stream carries the full grid (counters are
-/// cumulative across cells; `drive.begin` events delimit them).
-///
-/// # Errors
-///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_observed(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    let mut rows = Vec::new();
-    for &w in &PressureWorkload::ALL {
-        for &r in ratios {
-            rows.push(run_pressure_observed(w, r, cfg, res, obs, obs_interval)?);
-        }
-    }
-    Ok(rows)
-}
-
-/// [`run_table4_resilient`] on `jobs` threads.
-///
-/// # Errors
-///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_jobs(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-    jobs: usize,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    run_table4_observed_jobs(cfg, ratios, res, &ObsHandle::noop(), 0, jobs)
-}
-
-/// [`run_table4_observed`] on `jobs` threads: every (workload, ratio)
-/// cell is independent (own managers, own recorded trace), so the grid
-/// fans out freely; results and merged observability come back in the
-/// serial grid order.
-///
-/// Fault runs derive each cell's injector seed from
-/// (`res.fault_seed`, cell index) via [`derive_seed`] — at *every* job
-/// count, including 1 — so resilience sweeps are identical no matter
-/// how many threads run them. Fault-free `jobs == 1` runs route to the
-/// serial engine unchanged.
-///
-/// # Errors
-///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_observed_jobs(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    if jobs == 1 && res.plan.is_none() {
-        return run_table4_observed(cfg, ratios, res, obs, obs_interval);
-    }
-    run_table4_cells(cfg, ratios, res, obs, obs_interval, jobs)
-        .into_iter()
-        .collect()
-}
-
-/// [`run_table4_observed_jobs`] with per-cell outcomes: a cell that dies
-/// under fault injection comes back as `Err` *in place* (grid order is
-/// preserved), so callers can skip the row and keep the rest of the
-/// sweep — the graceful-degradation contract the resilience harness
-/// promises. Observability from every cell, failed or not, is merged
-/// into `obs` in grid order.
-pub fn run_table4_cells(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
-) -> Vec<MosaicResult<(PressureRow, ResilienceReport)>> {
-    let mut inputs = Vec::new();
-    for &w in &PressureWorkload::ALL {
-        for &r in ratios {
-            inputs.push((w, r, obs.child()));
-        }
-    }
-    let outcomes = run_cells(jobs, inputs, |i, (w, r, child)| {
-        let cell_res = if res.plan.is_none() {
-            *res
-        } else {
-            ResilienceConfig {
-                plan: res.plan,
-                fault_seed: derive_seed(res.fault_seed, i as u64),
-                verify_every: res.verify_every,
-            }
-        };
-        let out = run_pressure_observed(w, r, cfg, &cell_res, &child, obs_interval);
-        (out, child)
-    });
-    outcomes
-        .into_iter()
-        .map(|(out, child)| {
-            if obs.is_enabled() {
-                obs.merge_from(&child);
-            }
-            out
-        })
-        .collect()
 }
 
 /// Renders the fault-injection summary: what was injected and how the
@@ -696,9 +634,28 @@ mod tests {
         }
     }
 
+    fn clean(w: PressureWorkload, ratio: f64) -> PressureRow {
+        run_pressure(w, ratio, &tiny_cfg(), &RunOpts::default())
+            .expect("fault-free pressure run")
+            .0
+    }
+
+    fn faulty(
+        w: PressureWorkload,
+        ratio: f64,
+        res: ResilienceConfig,
+    ) -> (PressureRow, ResilienceReport) {
+        let opts = RunOpts {
+            faults: res,
+            ..RunOpts::default()
+        };
+        run_pressure(w, ratio, &tiny_cfg(), &opts)
+            .expect("invariants must hold under injected faults")
+    }
+
     #[test]
     fn overcommitted_run_swaps_in_both_managers() {
-        let row = run_pressure(PressureWorkload::XsBench, 1.25, &tiny_cfg());
+        let row = clean(PressureWorkload::XsBench, 1.25);
         assert!(row.linux_swaps > 0, "Linux must swap at 125%");
         assert!(row.mosaic_swaps > 0, "Mosaic must swap at 125%");
         assert!(row.first_conflict_pct.is_some());
@@ -706,7 +663,7 @@ mod tests {
 
     #[test]
     fn first_conflict_is_near_98_percent() {
-        let row = run_pressure(PressureWorkload::XsBench, 1.25, &tiny_cfg());
+        let row = clean(PressureWorkload::XsBench, 1.25);
         let fc = row.first_conflict_pct.unwrap();
         assert!(
             (94.0..100.0).contains(&fc),
@@ -717,7 +674,7 @@ mod tests {
     #[test]
     fn steady_state_exceeds_first_conflict() {
         // Ghosts let utilization climb past 1 - δ (§4.2).
-        let row = run_pressure(PressureWorkload::BTree, 1.2, &tiny_cfg());
+        let row = clean(PressureWorkload::BTree, 1.2);
         let fc = row.first_conflict_pct.unwrap();
         let ss = row.steady_state_pct.unwrap();
         assert!(ss > fc - 2.0, "steady {ss:.2} vs first conflict {fc:.2}");
@@ -725,7 +682,7 @@ mod tests {
 
     #[test]
     fn undercommitted_run_never_swaps() {
-        let row = run_pressure(PressureWorkload::XsBench, 0.60, &tiny_cfg());
+        let row = clean(PressureWorkload::XsBench, 0.60);
         assert_eq!(row.linux_swaps, 0);
         assert_eq!(row.mosaic_swaps, 0);
         assert_eq!(row.first_conflict_pct, None);
@@ -747,7 +704,7 @@ mod tests {
 
     #[test]
     fn renders_are_complete() {
-        let rows = vec![run_pressure(PressureWorkload::XsBench, 1.2, &tiny_cfg())];
+        let rows = vec![clean(PressureWorkload::XsBench, 1.2)];
         let t4 = render_table4(&rows).render();
         assert!(t4.contains("XSBench"));
         let t3 = render_table3(&table3_rows(&rows)).render();
@@ -756,7 +713,7 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_is_bit_identical_to_plain_run() {
-        let plain = run_pressure(PressureWorkload::BTree, 1.2, &tiny_cfg());
+        let plain = clean(PressureWorkload::BTree, 1.2);
         let (resilient, rep) = run_pressure_resilient(
             PressureWorkload::BTree,
             1.2,
@@ -770,6 +727,20 @@ mod tests {
     }
 
     #[test]
+    fn from_ppm_is_the_binaries_fault_plan() {
+        assert_eq!(ResilienceConfig::from_ppm(0, 7), ResilienceConfig::none());
+        let res = ResilienceConfig::from_ppm(200, 7);
+        assert_eq!(
+            res.plan,
+            FaultPlan::NONE
+                .with_alloc_failures(200)
+                .with_io_failures(200, 2)
+                .with_toc_flips(200)
+        );
+        assert_eq!((res.fault_seed, res.verify_every), (7, 250_000));
+    }
+
+    #[test]
     fn faulty_run_survives_and_reports() {
         let res = ResilienceConfig {
             plan: FaultPlan::NONE
@@ -779,9 +750,7 @@ mod tests {
             fault_seed: 0xF00D,
             verify_every: 50_000,
         };
-        let (row, rep) =
-            run_pressure_resilient(PressureWorkload::XsBench, 1.25, &tiny_cfg(), &res)
-                .expect("invariants must hold under injected faults");
+        let (row, rep) = faulty(PressureWorkload::XsBench, 1.25, res);
         assert!(row.mosaic_swaps > 0, "overcommit still swaps");
         let all = rep.combined();
         assert!(all.faults_injected() > 0, "plan injected nothing");
@@ -803,8 +772,7 @@ mod tests {
             fault_seed: 9,
             verify_every: 0,
         };
-        let (_, rep) =
-            run_pressure_resilient(PressureWorkload::BTree, 1.3, &tiny_cfg(), &res).unwrap();
+        let (_, rep) = faulty(PressureWorkload::BTree, 1.3, res);
         if let Some(e) = &rep.last_error {
             assert!(e.is_transient(), "unexpected error class: {e}");
         }

@@ -4,9 +4,8 @@
 //! independently-kept [`ResilienceStats`] counters, and the whole JSONL
 //! stream must be byte-deterministic for a fixed seed.
 
-use mosaic_sim::pressure::{
-    run_pressure_observed, PressureConfig, PressureWorkload, ResilienceConfig,
-};
+use mosaic_sim::pressure::{run_pressure, PressureConfig, PressureWorkload, ResilienceConfig};
+use mosaic_sim::RunOpts;
 use mosaic_mem::FaultPlan;
 use mosaic_obs::ObsHandle;
 
@@ -29,9 +28,14 @@ fn faulty_config() -> (PressureConfig, ResilienceConfig) {
 
 fn observed_run(obs: &ObsHandle, interval: u64) -> mosaic_sim::pressure::ResilienceReport {
     let (cfg, res) = faulty_config();
-    let (_row, report) =
-        run_pressure_observed(PressureWorkload::XsBench, 1.2, &cfg, &res, obs, interval)
-            .expect("pressure run under bounded faults should complete");
+    let opts = RunOpts {
+        faults: res,
+        obs: obs.clone(),
+        obs_interval: interval,
+        ..RunOpts::default()
+    };
+    let (_row, report) = run_pressure(PressureWorkload::XsBench, 1.2, &cfg, &opts)
+        .expect("pressure run under bounded faults should complete");
     report
 }
 

@@ -20,13 +20,14 @@ use crate::registry::TenantRegistry;
 use mosaic_hash::{SplitMix64, XxFamily};
 use mosaic_iceberg::{ConcurrentIcebergTable, IcebergTable};
 use mosaic_mem::{
-    AccessKind, Asid, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicError,
-    MosaicResult, MosaicMemory, PageKey, Pfn, QuotaStats, ResilienceStats, TenantQuota, VirtAddr,
-    Vpn, PAGE_SIZE,
+    AccessKind, Asid, IcebergConfig, MemoryManager, MosaicError, MosaicResult, PageKey, Pfn,
+    QuotaStats, TenantQuota, VirtAddr, Vpn, PAGE_SIZE,
 };
 use mosaic_obs::{ObsHandle, Value};
-use mosaic_sim::parallel::{derive_seed, run_cells};
-use mosaic_sim::pressure::{PressureRow, PressureWorkload, ResilienceConfig, ResilienceReport};
+use mosaic_sim::parallel::{derive_seed, run_grid, RunOpts};
+use mosaic_sim::pressure::{
+    ManagerPair, PressureRow, PressureWorkload, ResilienceConfig, ResilienceReport,
+};
 use mosaic_sim::PressureConfig;
 use mosaic_workloads::{record, Access, ZipfSampler};
 
@@ -764,33 +765,27 @@ fn drive_schedule(
     })
 }
 
-/// Runs one multi-tenant configuration through both managers, fault-free.
-pub fn run_tenants(cfg: &TenantsConfig) -> TenantsRow {
-    let (row, _) = run_tenants_observed(cfg, &ResilienceConfig::none(), &ObsHandle::noop(), 0)
-        .unwrap_or_else(|e| panic!("fault-free tenant run cannot fail: {e}"));
-    row
-}
-
-/// [`run_tenants`] under a fault plan, with metric/event export.
+/// Runs one multi-tenant configuration through both managers under
+/// `opts.faults`, exporting to `opts.obs` (`opts.jobs` is unused: one
+/// configuration is one cell).
 ///
 /// The schedule is built once; Mosaic replays it first, then the Linux
 /// baseline (resuming the reference timeline only when exporting, like
 /// the pressure driver). Per-slot fairness metrics are published to
-/// `obs` as `mosaic.tenants.*` / `linux.tenants.*` histograms.
+/// `opts.obs` as `mosaic.tenants.*` / `linux.tenants.*` histograms.
 ///
 /// # Errors
 ///
 /// Returns the violation if any structural `verify()` pass fails;
 /// injected faults are absorbed and counted, never surfaced.
-pub fn run_tenants_observed(
+pub fn run_tenants(
     cfg: &TenantsConfig,
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
+    opts: &RunOpts,
 ) -> MosaicResult<(TenantsRow, ResilienceReport)> {
     let schedule = build_schedule(cfg);
     let plan = quota_plan(cfg);
-    run_schedule_observed(cfg, &schedule, plan.as_ref(), res, obs, obs_interval)
+    let (res, obs) = (&opts.faults, &opts.obs);
+    run_schedule_observed(cfg, &schedule, plan.as_ref(), res, obs, opts.obs_interval)
 }
 
 /// Replays an already-built `schedule` into fresh managers under an
@@ -800,7 +795,7 @@ pub fn run_tenants_observed(
 ///
 /// # Errors
 ///
-/// As [`run_tenants_observed`]: only structural `verify()` failures.
+/// As [`run_tenants`]: only structural `verify()` failures.
 pub fn run_schedule_observed(
     cfg: &TenantsConfig,
     schedule: &Schedule,
@@ -809,31 +804,7 @@ pub fn run_schedule_observed(
     obs: &ObsHandle,
     obs_interval: u64,
 ) -> MosaicResult<(TenantsRow, ResilienceReport)> {
-    let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let mut mosaic = MosaicMemory::new(layout, cfg.seed);
-    let mut linux = LinuxMemory::new(layout);
-    if cfg.concurrent_alloc {
-        mosaic.enable_concurrent_shadow();
-    }
-    if !res.plan.is_none() {
-        mosaic = mosaic.with_fault_injector(res.plan, res.fault_seed);
-        linux = linux.with_fault_injector(res.plan, res.fault_seed ^ 0x11);
-    }
-    if obs.is_enabled() {
-        mosaic.set_obs(obs, "mosaic");
-        linux.set_obs(obs, "linux");
-    }
-
-    let mut report = ResilienceReport {
-        mosaic: ResilienceStats::ZERO,
-        linux: ResilienceStats::ZERO,
-        mosaic_dropped: 0,
-        linux_dropped: 0,
-        verify_passes: 0,
-        accesses_driven: 0,
-        last_error: None,
-    };
-
+    let mut pair = new_pair(cfg, res, obs);
     let warmup_bytes = cfg.target_bytes();
     if obs.is_enabled() {
         obs.event(
@@ -847,8 +818,8 @@ pub fn run_schedule_observed(
         );
     }
     let m = drive_schedule(
-        &mut mosaic, Some(&linux), schedule, plan, warmup_bytes, res, &mut report, 0, obs,
-        obs_interval,
+        &mut pair.mosaic, Some(&pair.linux), schedule, plan, warmup_bytes, res, &mut pair.report,
+        0, obs, obs_interval,
     )?;
     let start2 = if obs.is_enabled() { m.end_now } else { 0 };
     if obs.is_enabled() {
@@ -863,16 +834,12 @@ pub fn run_schedule_observed(
         );
     }
     let l = drive_schedule(
-        &mut linux, Some(&mosaic), schedule, plan, warmup_bytes, res, &mut report, start2, obs,
-        obs_interval,
+        &mut pair.linux, Some(&pair.mosaic), schedule, plan, warmup_bytes, res, &mut pair.report,
+        start2, obs, obs_interval,
     )?;
-    report.mosaic = *mosaic.resilience();
-    report.linux = *linux.resilience();
-    report.mosaic_dropped = m.dropped;
-    report.linux_dropped = l.dropped;
+    pair.finish(m.dropped, l.dropped);
     if obs.is_enabled() {
-        mosaic.publish_obs();
-        linux.publish_obs();
+        pair.publish_obs();
         publish_fairness(obs, "mosaic", &m.slots);
         publish_fairness(obs, "linux", &l.slots);
         obs.counter("tenants.exits").add(schedule.exits());
@@ -883,44 +850,35 @@ pub fn run_schedule_observed(
         obs.snapshot(l.end_now);
     }
 
-    let pressure = PressureRow {
-        workload: match cfg.mix {
-            TenantMix::Single(w) => w.name(),
-            TenantMix::Rotate => "Mixed",
-        },
-        footprint_bytes: schedule.footprint_bytes(),
-        linux_swaps: linux.stats().swap_ops(),
-        mosaic_swaps: mosaic.stats().swap_ops(),
-        first_conflict_pct: mosaic
-            .utilization_tracker()
-            .first_conflict()
-            .map(|u| u * 100.0),
-        steady_state_pct: mosaic
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
-        linux_steady_pct: linux
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
+    let workload = match cfg.mix {
+        TenantMix::Single(w) => w.name(),
+        TenantMix::Rotate => "Mixed",
     };
-    Ok((
-        TenantsRow {
-            tenants: cfg.tenants,
-            load: cfg.load,
-            pressure,
-            mosaic_slots: m.slots,
-            linux_slots: l.slots,
-            exits: schedule.exits(),
-            mosaic_frames_reclaimed: m.frames_reclaimed,
-            linux_frames_reclaimed: l.frames_reclaimed,
-            mosaic_deferred: m.deferred,
-            linux_deferred: l.deferred,
-            mosaic_quota: mosaic.quota_stats(),
-            linux_quota: linux.quota_stats(),
-        },
-        report,
-    ))
+    let row = TenantsRow {
+        tenants: cfg.tenants,
+        load: cfg.load,
+        pressure: pair.row(workload, schedule.footprint_bytes()),
+        mosaic_slots: m.slots,
+        linux_slots: l.slots,
+        exits: schedule.exits(),
+        mosaic_frames_reclaimed: m.frames_reclaimed,
+        linux_frames_reclaimed: l.frames_reclaimed,
+        mosaic_deferred: m.deferred,
+        linux_deferred: l.deferred,
+        mosaic_quota: pair.mosaic.quota_stats(),
+        linux_quota: pair.linux.quota_stats(),
+    };
+    Ok((row, pair.report))
+}
+
+/// The managers one replay of a schedule drives: the shared pressure
+/// pair, plus the concurrent-table mirror when the config asks for it.
+fn new_pair(cfg: &TenantsConfig, res: &ResilienceConfig, obs: &ObsHandle) -> ManagerPair {
+    let mut pair = ManagerPair::new(cfg.mem_buckets, cfg.seed, res, obs);
+    if cfg.concurrent_alloc {
+        pair.mosaic.enable_concurrent_shadow();
+    }
+    pair
 }
 
 /// Publishes per-tenant fairness distributions under
@@ -992,28 +950,15 @@ pub struct IsolationOutcome {
 /// Replays `schedule` alone into both managers, fault-free, quota-free,
 /// unobserved — the ground-truth cost of the ops themselves.
 fn run_solo(cfg: &TenantsConfig, schedule: &Schedule) -> MosaicResult<(DriveOutcome, DriveOutcome)> {
-    let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let mut mosaic = MosaicMemory::new(layout, cfg.seed);
-    let mut linux = LinuxMemory::new(layout);
-    if cfg.concurrent_alloc {
-        mosaic.enable_concurrent_shadow();
-    }
     let none = ResilienceConfig::none();
-    let mut report = ResilienceReport {
-        mosaic: ResilienceStats::ZERO,
-        linux: ResilienceStats::ZERO,
-        mosaic_dropped: 0,
-        linux_dropped: 0,
-        verify_passes: 0,
-        accesses_driven: 0,
-        last_error: None,
-    };
     let obs = ObsHandle::noop();
+    let mut pair = new_pair(cfg, &none, &obs);
     let warmup = cfg.target_bytes();
+    let report = &mut pair.report;
     let m =
-        drive_schedule(&mut mosaic, None, schedule, None, warmup, &none, &mut report, 0, &obs, 0)?;
+        drive_schedule(&mut pair.mosaic, None, schedule, None, warmup, &none, report, 0, &obs, 0)?;
     let l =
-        drive_schedule(&mut linux, None, schedule, None, warmup, &none, &mut report, 0, &obs, 0)?;
+        drive_schedule(&mut pair.linux, None, schedule, None, warmup, &none, report, 0, &obs, 0)?;
     Ok((m, l))
 }
 
@@ -1168,20 +1113,15 @@ pub fn contention_exercise(
 
 /// Runs the full isolation study for one load point: builds the
 /// schedule once, measures every slot's solo fault rate, then replays
-/// the mixed schedule twice — quota plan on (observed, under `res`)
-/// and off (same faults, unobserved). Victim inflation is
-/// `mixed_ppm / solo_ppm` per slot; quotas earn their keep when the
+/// the mixed schedule twice — quota plan on (observed, under
+/// `opts.faults`) and off (same faults, unobserved). Victim inflation
+/// is `mixed_ppm / solo_ppm` per slot; quotas earn their keep when the
 /// quotas-on inflation stays bounded while quotas-off does not.
 ///
 /// # Errors
 ///
 /// Returns the violation if any structural `verify()` pass fails.
-pub fn run_isolation(
-    cfg: &TenantsConfig,
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-) -> MosaicResult<IsolationOutcome> {
+pub fn run_isolation(cfg: &TenantsConfig, opts: &RunOpts) -> MosaicResult<IsolationOutcome> {
     let schedule = build_schedule(cfg);
     let plan = quota_plan(cfg);
     let mut mosaic_solo_ppm = Vec::with_capacity(cfg.tenants);
@@ -1192,9 +1132,10 @@ pub fn run_isolation(
         mosaic_solo_ppm.push(m.slots[slot].fault_ppm());
         linux_solo_ppm.push(l.slots[slot].fault_ppm());
     }
-    let (on, _) = run_schedule_observed(cfg, &schedule, plan.as_ref(), res, obs, obs_interval)?;
-    let (off, _) =
-        run_schedule_observed(cfg, &schedule, None, res, &ObsHandle::noop(), 0)?;
+    let res = &opts.faults;
+    let (on, _) =
+        run_schedule_observed(cfg, &schedule, plan.as_ref(), res, &opts.obs, opts.obs_interval)?;
+    let (off, _) = run_schedule_observed(cfg, &schedule, None, res, &ObsHandle::noop(), 0)?;
     Ok(IsolationOutcome {
         load: cfg.load,
         hostile_slot: cfg.hostile.is_some().then_some(0),
@@ -1233,101 +1174,47 @@ pub fn isolation_lines(out: &IsolationOutcome) -> [IsolationLine; 2] {
     [line(&out.on, true), line(&out.off, false)]
 }
 
-/// [`run_isolation`] across load points on `jobs` threads, cell fault
-/// seeds derived from the cell index — byte-identical at any `--jobs`,
-/// exactly like [`run_tenants_grid`].
+/// [`run_isolation`] across load points as [`run_grid`] cells: fault
+/// seeds derive from the cell index and observability merges in load
+/// order, so the study is byte-identical at any `opts.jobs`, exactly
+/// like [`run_tenants_grid`].
 pub fn run_isolation_grid(
     base: &TenantsConfig,
     loads: &[f64],
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
+    opts: &RunOpts,
 ) -> Vec<MosaicResult<IsolationOutcome>> {
-    let inputs: Vec<_> = loads
+    let cells: Vec<TenantsConfig> = loads
         .iter()
-        .map(|&load| {
-            (
-                TenantsConfig {
-                    load,
-                    ..base.clone()
-                },
-                obs.child(),
-            )
+        .map(|&load| TenantsConfig {
+            load,
+            ..base.clone()
         })
         .collect();
-    let outcomes = run_cells(jobs, inputs, |i, (cell_cfg, child)| {
-        let cell_res = if res.plan.is_none() {
-            *res
-        } else {
-            ResilienceConfig {
-                plan: res.plan,
-                fault_seed: derive_seed(res.fault_seed, i as u64),
-                verify_every: res.verify_every,
-            }
-        };
-        let out = run_isolation(&cell_cfg, &cell_res, &child, obs_interval);
-        (out, child)
-    });
-    outcomes
-        .into_iter()
-        .map(|(out, child)| {
-            if obs.is_enabled() {
-                obs.merge_from(&child);
-            }
-            out
-        })
-        .collect()
+    run_grid(opts, cells, |cell_cfg, cell| run_isolation(&cell_cfg, cell))
 }
 
-/// Runs a (tenant-count × load) grid on `jobs` threads via the parallel
-/// engine: each cell is an independent [`run_tenants_observed`] whose
-/// fault seed (under a fault plan) derives from the cell index, so
-/// sweeps are byte-identical at any `--jobs` value. Results, and merged
-/// observability, come back in grid order (tenant-counts outer, loads
-/// inner).
+/// Runs a (tenant-count × load) grid of independent [`run_tenants`]
+/// cells via [`run_grid`]: under a fault plan each cell's fault seed
+/// derives from its index, so sweeps are byte-identical at any
+/// `opts.jobs`. Results, and merged observability, come back in grid
+/// order (tenant-counts outer, loads inner).
 pub fn run_tenants_grid(
     base: &TenantsConfig,
     tenant_counts: &[usize],
     loads: &[f64],
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
+    opts: &RunOpts,
 ) -> Vec<MosaicResult<(TenantsRow, ResilienceReport)>> {
-    let mut inputs = Vec::new();
+    let mut cells = Vec::new();
     for &tenants in tenant_counts {
         for &load in loads {
-            let cell_cfg = TenantsConfig {
+            cells.push(TenantsConfig {
                 tenants,
                 load,
                 ..base.clone()
-            };
-            inputs.push((cell_cfg, obs.child()));
+            });
         }
     }
-    let outcomes = run_cells(jobs, inputs, |i, (cell_cfg, child)| {
-        let cell_res = if res.plan.is_none() {
-            *res
-        } else {
-            ResilienceConfig {
-                plan: res.plan,
-                fault_seed: derive_seed(res.fault_seed, i as u64),
-                verify_every: res.verify_every,
-            }
-        };
-        let out = run_tenants_observed(&cell_cfg, &cell_res, &child, obs_interval);
-        (out, child)
-    });
-    outcomes
-        .into_iter()
-        .map(|(out, child)| {
-            if obs.is_enabled() {
-                obs.merge_from(&child);
-            }
-            out
-        })
-        .collect()
+    run_grid(opts, cells, |cell_cfg, cell| run_tenants(&cell_cfg, cell))
 }
 
 /// The [`PressureConfig`] a one-tenant oracle run corresponds to:
@@ -1366,6 +1253,19 @@ mod tests {
         }
     }
 
+    fn clean(cfg: &TenantsConfig) -> TenantsRow {
+        run_tenants(cfg, &RunOpts::default())
+            .expect("fault-free tenant run cannot fail")
+            .0
+    }
+
+    fn on(jobs: usize) -> RunOpts {
+        RunOpts {
+            jobs,
+            ..RunOpts::default()
+        }
+    }
+
     #[test]
     fn interval_snapshots_cover_both_managers_with_attribution() {
         use mosaic_obs::json::{parse, Json};
@@ -1373,8 +1273,12 @@ mod tests {
         obs.set_attrib(true);
         let mut cfg = tiny();
         cfg.load = 1.1; // over-commit so evictions charge attribution
-        run_tenants_observed(&cfg, &ResilienceConfig::none(), &obs, 7_000)
-            .expect("fault-free run");
+        let opts = RunOpts {
+            obs: obs.clone(),
+            obs_interval: 7_000,
+            ..RunOpts::default()
+        };
+        run_tenants(&cfg, &opts).expect("fault-free run");
         // Collect (record type, ref, name) for every emitted record.
         let mut gauge_refs: std::collections::BTreeMap<u64, Vec<String>> =
             std::collections::BTreeMap::new();
@@ -1470,8 +1374,8 @@ mod tests {
 
     #[test]
     fn run_is_reproducible_and_exits_reclaim() {
-        let a = run_tenants(&tiny());
-        let b = run_tenants(&tiny());
+        let a = clean(&tiny());
+        let b = clean(&tiny());
         assert_eq!(a, b);
         assert_eq!(a.exits, 2);
         assert!(a.mosaic_frames_reclaimed > 0, "exits must free frames");
@@ -1587,7 +1491,7 @@ mod tests {
     fn quota_off_run_matches_legacy_byte_for_byte() {
         // The Spawn ops and the quota plumbing must be invisible when no
         // plan is installed: same row as the legacy driver produced.
-        let row = run_tenants(&tiny());
+        let row = clean(&tiny());
         assert_eq!(row.mosaic_deferred, 0);
         assert_eq!(row.linux_deferred, 0);
         assert_eq!(row.mosaic_quota, QuotaStats::ZERO);
@@ -1605,12 +1509,7 @@ mod tests {
             churn_every: 0,
             ..tiny()
         };
-        let out = run_isolation(
-            &cfg,
-            &ResilienceConfig::none(),
-            &ObsHandle::noop(),
-            0,
-        )
+        let out = run_isolation(&cfg, &RunOpts::default())
         .expect("fault-free isolation run");
         // The protected run exercised the quota machinery.
         let q = out.on.mosaic_quota;
@@ -1620,12 +1519,7 @@ mod tests {
         );
         assert_eq!(out.off.mosaic_quota, QuotaStats::ZERO);
         // And it is reproducible.
-        let again = run_isolation(
-            &cfg,
-            &ResilienceConfig::none(),
-            &ObsHandle::noop(),
-            0,
-        )
+        let again = run_isolation(&cfg, &RunOpts::default())
         .expect("fault-free isolation run");
         assert_eq!(out, again);
     }
@@ -1640,17 +1534,10 @@ mod tests {
             ..tiny()
         };
         let run = |jobs: usize| {
-            run_isolation_grid(
-                &base,
-                &[0.9, 1.05],
-                &ResilienceConfig::none(),
-                &ObsHandle::noop(),
-                0,
-                jobs,
-            )
-            .into_iter()
-            .map(|r| r.expect("fault-free cell"))
-            .collect::<Vec<_>>()
+            run_isolation_grid(&base, &[0.9, 1.05], &on(jobs))
+                .into_iter()
+                .map(|r| r.expect("fault-free cell"))
+                .collect::<Vec<_>>()
         };
         let serial = run(1);
         for jobs in [2, 8] {
@@ -1668,7 +1555,7 @@ mod tests {
         let mut direct: Vec<TenantsRow> = Vec::new();
         for t in [1usize, 4] {
             for l in [0.7, 0.9] {
-                direct.push(run_tenants(&TenantsConfig {
+                direct.push(clean(&TenantsConfig {
                     tenants: t,
                     load: l,
                     ..base.clone()
@@ -1676,15 +1563,7 @@ mod tests {
             }
         }
         for jobs in [1, 2, 8] {
-            let grid = run_tenants_grid(
-                &base,
-                &[1, 4],
-                &[0.7, 0.9],
-                &ResilienceConfig::none(),
-                &ObsHandle::noop(),
-                0,
-                jobs,
-            );
+            let grid = run_tenants_grid(&base, &[1, 4], &[0.7, 0.9], &on(jobs));
             let rows: Vec<TenantsRow> = grid
                 .into_iter()
                 .map(|r| r.expect("fault-free cell cannot fail").0)
@@ -1755,9 +1634,9 @@ mod tests {
     fn concurrent_alloc_shadow_leaves_rows_identical() {
         let mut cfg = tiny();
         cfg.steps = 8_000;
-        let base = run_tenants(&cfg);
+        let base = clean(&cfg);
         cfg.concurrent_alloc = true;
-        let shadowed = run_tenants(&cfg);
+        let shadowed = clean(&cfg);
         // The mirror is observational: same row, and the run's final
         // verify() cross-checked the shadow against residency.
         assert_eq!(base, shadowed);
@@ -1773,18 +1652,10 @@ mod tests {
             ..tiny()
         };
         let run = |jobs: usize| {
-            run_tenants_grid(
-                &base,
-                &[2, 4],
-                &[0.7, 0.9],
-                &ResilienceConfig::none(),
-                &ObsHandle::noop(),
-                0,
-                jobs,
-            )
-            .into_iter()
-            .map(|r| r.expect("fault-free cell cannot fail").0)
-            .collect::<Vec<TenantsRow>>()
+            run_tenants_grid(&base, &[2, 4], &[0.7, 0.9], &on(jobs))
+                .into_iter()
+                .map(|r| r.expect("fault-free cell cannot fail").0)
+                .collect::<Vec<TenantsRow>>()
         };
         let serial = run(1);
         for jobs in [2, 8] {

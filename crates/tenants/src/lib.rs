@@ -48,7 +48,7 @@ pub use cow::{CowMemory, CowStats};
 pub use driver::{
     as_pressure_config, build_schedule, contention_exercise, isolation_lines, quota_plan,
     run_isolation, run_isolation_grid, run_schedule_observed, run_tenants, run_tenants_grid,
-    run_tenants_observed, solo_schedule, ContentionReport, HostileScenario, IsolationOutcome,
+    solo_schedule, ContentionReport, HostileScenario, IsolationOutcome,
     QuotaPlan, Schedule, TenantMix, TenantOp, TenantsConfig, TenantsRow,
 };
 pub use fairness::{

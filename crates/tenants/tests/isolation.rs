@@ -4,8 +4,8 @@
 //! damage spread. The whole study is deterministic — same schedule,
 //! same solo baselines, byte-identical at any job count.
 
-use mosaic_obs::ObsHandle;
 use mosaic_sim::pressure::ResilienceConfig;
+use mosaic_sim::RunOpts;
 use mosaic_tenants::{
     isolation_lines, run_isolation, run_isolation_grid, HostileScenario, IsolationOutcome,
     TenantMix, TenantsConfig,
@@ -32,13 +32,7 @@ fn hostile_cfg(load: f64) -> TenantsConfig {
 }
 
 fn run(load: f64) -> IsolationOutcome {
-    run_isolation(
-        &hostile_cfg(load),
-        &ResilienceConfig::none(),
-        &ObsHandle::noop(),
-        0,
-    )
-    .expect("fault-free isolation run")
+    run_isolation(&hostile_cfg(load), &RunOpts::default()).expect("fault-free isolation run")
 }
 
 #[test]
@@ -102,8 +96,7 @@ fn alloc_bomb_and_churn_storm_are_contained_too() {
             steps: 60_000,
             ..hostile_cfg(1.05)
         };
-        let out = run_isolation(&cfg, &ResilienceConfig::none(), &ObsHandle::noop(), 0)
-            .expect("fault-free isolation run");
+        let out = run_isolation(&cfg, &RunOpts::default()).expect("fault-free isolation run");
         let [on, _off] = isolation_lines(&out);
         assert!(
             on.mosaic.max_x100 < 250,
@@ -137,17 +130,15 @@ fn isolation_grid_under_faults_is_byte_identical_at_any_job_count() {
         verify_every: 10_000,
     };
     let run_grid = |jobs: usize| {
-        run_isolation_grid(
-            &base,
-            &[0.9, 1.05],
-            &res,
-            &ObsHandle::noop(),
-            0,
+        let opts = RunOpts {
+            faults: res,
             jobs,
-        )
-        .into_iter()
-        .map(|r| r.expect("verify must hold under injected faults"))
-        .collect::<Vec<_>>()
+            ..RunOpts::default()
+        };
+        run_isolation_grid(&base, &[0.9, 1.05], &opts)
+            .into_iter()
+            .map(|r| r.expect("verify must hold under injected faults"))
+            .collect::<Vec<_>>()
     };
     let serial = run_grid(1);
     for jobs in [2, 8] {

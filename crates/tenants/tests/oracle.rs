@@ -5,9 +5,17 @@
 //! multi-tenant results are measuring the driver, not the tenancy.
 
 use mosaic_sim::pressure::{run_pressure, PressureWorkload, ResilienceConfig};
+use mosaic_sim::RunOpts;
 use mosaic_tenants::driver::as_pressure_config;
-use mosaic_tenants::{run_tenants, run_tenants_grid, TenantMix, TenantOp, TenantsConfig};
-use mosaic_obs::ObsHandle;
+use mosaic_tenants::{
+    run_tenants, run_tenants_grid, TenantMix, TenantOp, TenantsConfig, TenantsRow,
+};
+
+fn clean(cfg: &TenantsConfig) -> TenantsRow {
+    run_tenants(cfg, &RunOpts::default())
+        .expect("fault-free tenant run cannot fail")
+        .0
+}
 
 fn one_tenant(workload: PressureWorkload, load: f64) -> TenantsConfig {
     TenantsConfig {
@@ -34,8 +42,10 @@ fn one_tenant_run_is_bit_identical_to_the_pressure_oracle() {
     for workload in PressureWorkload::ALL {
         for load in [0.9, 1.0774, 1.2021] {
             let cfg = one_tenant(workload, load);
-            let row = run_tenants(&cfg);
-            let oracle = run_pressure(workload, load, &as_pressure_config(&cfg));
+            let row = clean(&cfg);
+            let (oracle, _) =
+                run_pressure(workload, load, &as_pressure_config(&cfg), &RunOpts::default())
+                    .expect("fault-free pressure run cannot fail");
             assert_eq!(
                 row.pressure, oracle,
                 "{} at load {load} diverged from the single-process oracle",
@@ -94,18 +104,15 @@ fn grid_is_byte_identical_across_job_counts_with_faults() {
         verify_every: 10_000,
     };
     let run = |jobs: usize| {
-        run_tenants_grid(
-            &base,
-            &[2, 6],
-            &[0.9, 1.1],
-            &res,
-            &ObsHandle::noop(),
-            0,
+        let opts = RunOpts {
+            faults: res,
             jobs,
-        )
-        .into_iter()
-        .map(|out| out.expect("verify must hold under injected faults"))
-        .collect::<Vec<_>>()
+            ..RunOpts::default()
+        };
+        run_tenants_grid(&base, &[2, 6], &[0.9, 1.1], &opts)
+            .into_iter()
+            .map(|out| out.expect("verify must hold under injected faults"))
+            .collect::<Vec<_>>()
     };
     let serial = run(1);
     for jobs in [2, 8] {
@@ -126,7 +133,7 @@ fn zipf_head_tenant_receives_the_most_traffic() {
         mix: TenantMix::Rotate,
         ..TenantsConfig::quick()
     };
-    let row = run_tenants(&cfg);
+    let row = clean(&cfg);
     let head = row.mosaic_slots[0].accesses;
     for s in &row.mosaic_slots[1..] {
         assert!(

@@ -76,6 +76,16 @@ for jobs in 1 4 8; do
   cmp "$OBS_TMP/t4j$jobs.txt" "$OBS_TMP/t4scalar.txt"
 done
 
+echo "==> table4 JSONL determinism gate (--jobs 1 vs --jobs 4, interval snapshots)"
+# Every grid cell exports into its own registry, merged in grid order,
+# so the stream does not depend on the thread count.
+for jobs in 1 4; do
+  ./target/release/table4 --buckets 16 --jobs "$jobs" \
+    --obs-out "$OBS_TMP/t4obs$jobs.jsonl" --obs-interval 50000 \
+    > /dev/null 2>&1
+done
+cmp "$OBS_TMP/t4obs1.jsonl" "$OBS_TMP/t4obs4.jsonl"
+
 echo "==> table4 golden gate (batched default must reproduce results_table4.txt)"
 ./target/release/table4 --jobs 4 > "$OBS_TMP/t4gold.txt" 2>/dev/null
 cmp "$OBS_TMP/t4gold.txt" results_table4.txt

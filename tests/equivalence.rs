@@ -2,6 +2,7 @@
 
 use mosaic_core::prelude::*;
 use mosaic_core::sim::fig6::{run_workload, Fig6Config, TlbKind};
+use mosaic_core::sim::RunOpts;
 use mosaic_core::workloads::standard_suite;
 
 fn quick_cfg(arities: &[usize]) -> Fig6Config {
@@ -27,7 +28,7 @@ fn arity_one_mosaic_equals_vanilla_everywhere() {
     // must match exactly for every workload and associativity.
     let cfg = quick_cfg(&[1]);
     for mut w in standard_suite(0, 5) {
-        let rows = run_workload(&cfg, w.as_mut());
+        let rows = run_workload(&cfg, w.as_mut(), &RunOpts::default());
         for assoc in &cfg.associativities {
             let vanilla = rows
                 .iter()
@@ -53,7 +54,7 @@ fn associativity_never_hurts_at_full() {
     // fully-associative count is within noise of the best in its row.
     let cfg = quick_cfg(&[4]);
     for mut w in standard_suite(0, 6) {
-        let rows = run_workload(&cfg, w.as_mut());
+        let rows = run_workload(&cfg, w.as_mut(), &RunOpts::default());
         for kind in [TlbKind::Vanilla, TlbKind::Mosaic(Arity::new(4))] {
             let direct = rows
                 .iter()
@@ -87,7 +88,7 @@ fn locality_workloads_improve_with_arity() {
         if name == "GUPS" {
             continue; // random accesses: arity does not monotonically help
         }
-        let rows = run_workload(&cfg, w.as_mut());
+        let rows = run_workload(&cfg, w.as_mut(), &RunOpts::default());
         let miss = |a: usize| {
             rows.iter()
                 .find(|r| {
@@ -122,7 +123,7 @@ fn mosaic_beats_vanilla_on_locality_workloads() {
         if name == "GUPS" {
             continue;
         }
-        let rows = run_workload(&cfg, w.as_mut());
+        let rows = run_workload(&cfg, w.as_mut(), &RunOpts::default());
         let red = mosaic_core::sim::fig6::reduction_percent(
             &rows,
             Associativity::Ways(8),
@@ -140,7 +141,7 @@ fn mosaic_is_insensitive_to_associativity() {
     let cfg = quick_cfg(&[8]);
     for mut w in standard_suite(0, 9) {
         let name = w.meta().name;
-        let rows = run_workload(&cfg, w.as_mut());
+        let rows = run_workload(&cfg, w.as_mut(), &RunOpts::default());
         let at = |assoc| {
             rows.iter()
                 .find(|r| r.assoc == assoc && r.kind == TlbKind::Mosaic(Arity::new(8)))
