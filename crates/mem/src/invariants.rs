@@ -11,6 +11,7 @@
 use crate::addr::{PageKey, Pfn};
 use crate::error::{MosaicError, MosaicResult};
 use crate::frame::FrameTable;
+use crate::lru::LruIndex;
 use crate::quota::QuotaTable;
 use std::collections::{HashMap, HashSet};
 
@@ -117,14 +118,37 @@ pub(crate) fn check_lru_tracks_resident(
     Ok(())
 }
 
+/// Invariant: an exact-LRU index agrees with the frame table on every
+/// resident page's last-access time (both are stamped by the same access),
+/// so reclaim order is the order the frames record.
+pub(crate) fn check_lru_timestamps(
+    lru: &LruIndex<PageKey>,
+    frames: &FrameTable,
+    resident: &HashMap<PageKey, Pfn>,
+) -> MosaicResult<()> {
+    for (key, &pfn) in resident {
+        let framed = frames.entry(pfn).map(|e| e.last_access);
+        let indexed = lru.timestamp(key);
+        if framed != indexed {
+            return Err(MosaicError::invariant(
+                "lru-timestamp",
+                format!("{key:?}: frame says last access {framed:?}, LRU says {indexed:?}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Invariant: for every ASID with a quota set, the quota table's resident
 /// count equals a direct recount of the residency map, and every one of
 /// that ASID's resident pages is tracked in its per-tenant LRU (so
-/// self-eviction always has the true LRU victim available).
+/// self-eviction always has the true LRU victim available). Every
+/// per-tenant LRU, quota or not, must also be structurally sound.
 pub(crate) fn check_quota_accounting(
     table: &QuotaTable,
     resident: &HashMap<PageKey, Pfn>,
 ) -> MosaicResult<()> {
+    table.check_lrus()?;
     for asid in table.quota_asids() {
         let actual = resident.keys().filter(|k| k.asid == asid).count();
         let tracked = table.resident(asid);
@@ -280,6 +304,41 @@ mod tests {
         assert!(check_lru_tracks_resident(1, |k| tracked.contains(k), &resident).is_err());
         let partial: HashSet<PageKey> = [key(1), key(9)].into_iter().collect();
         assert!(check_lru_tracks_resident(2, |k| partial.contains(k), &resident).is_err());
+    }
+
+    #[test]
+    fn lru_timestamps_match_frames() {
+        let mut frames = small_table();
+        let mut resident = HashMap::new();
+        let mut lru = LruIndex::new();
+        for n in 0..3u64 {
+            frames.install(
+                Pfn(n),
+                FrameEntry {
+                    key: key(n),
+                    last_access: 10 + n,
+                    dirty: false,
+                    has_swap_copy: false,
+                },
+            );
+            resident.insert(key(n), Pfn(n));
+            lru.touch(key(n), 10 + n);
+        }
+        assert!(check_lru_timestamps(&lru, &frames, &resident).is_ok());
+        // A hit the LRU saw but the frame table missed.
+        lru.touch(key(1), 20);
+        let err = check_lru_timestamps(&lru, &frames, &resident).unwrap_err();
+        assert!(matches!(
+            err,
+            MosaicError::InvariantViolation {
+                invariant: "lru-timestamp",
+                ..
+            }
+        ));
+        // A resident page the LRU never saw.
+        lru.remove(&key(1));
+        frames.touch(Pfn(1), 20, false);
+        assert!(check_lru_timestamps(&lru, &frames, &resident).is_err());
     }
 
     #[test]

@@ -446,24 +446,13 @@ impl MemoryManager for LinuxMemory {
     fn set_quota(&mut self, asid: crate::addr::Asid, quota: TenantQuota) {
         let table = self.quotas.get_or_insert_with(QuotaTable::new);
         table.set(asid, quota);
-        if table.resident(asid) == 0 {
-            // Seed the table from pages resident before the quota existed,
-            // in a deterministic (timestamp, key) order so replays agree.
-            let mut seed: Vec<(u64, PageKey)> = self
-                .resident
+        let frames = &self.frames;
+        table.adopt(
+            asid,
+            self.resident
                 .iter()
-                .filter(|(k, _)| k.asid == asid)
-                .filter_map(|(&k, &pfn)| {
-                    self.frames.entry(pfn).map(|e| (e.last_access, k))
-                })
-                .collect();
-            seed.sort_unstable_by_key(|&(ts, k)| (ts, k.hash_key()));
-            if let Some(table) = self.quotas.as_mut() {
-                for (ts, k) in seed {
-                    table.note_install(k, ts);
-                }
-            }
-        }
+                .filter_map(|(&k, &pfn)| frames.entry(pfn).map(|e| (k, e.last_access))),
+        );
     }
 
     fn quota_stats(&self) -> QuotaStats {
@@ -522,6 +511,8 @@ impl MemoryManager for LinuxMemory {
             |k| self.lru.contains(k),
             &self.resident,
         )?;
+        self.lru.check()?;
+        invariants::check_lru_timestamps(&self.lru, &self.frames, &self.resident)?;
         if let Some(q) = self.quotas.as_ref() {
             invariants::check_quota_accounting(q, &self.resident)?;
         }

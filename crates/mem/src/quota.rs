@@ -15,6 +15,7 @@
 //! deferrals, capped, exactly the PR-1 `FaultInjector` convention.
 
 use crate::addr::{Asid, PageKey};
+use crate::error::MosaicResult;
 use crate::lru::LruIndex;
 use std::collections::HashMap;
 
@@ -124,9 +125,25 @@ impl QuotaTable {
         *self.resident.entry(key.asid).or_insert(0) += 1;
         self.own_lru
             .entry(key.asid)
-            .or_insert_with(LruIndex::new)
+            .or_default()
             .touch(key, now);
         self.deferral_streak.remove(&key.asid);
+    }
+
+    /// Starts tracking `asid`'s resident `(page, last access)` pairs the
+    /// table has not seen — pages installed before the table existed —
+    /// in a deterministic (timestamp, key) order so replays agree.
+    /// Pages of other ASIDs and already-tracked pages are skipped.
+    pub fn adopt(&mut self, asid: Asid, pages: impl IntoIterator<Item = (PageKey, u64)>) {
+        let mut seed: Vec<(u64, PageKey)> = pages
+            .into_iter()
+            .filter(|(k, _)| k.asid == asid && !self.tracks(k))
+            .map(|(k, ts)| (ts, k))
+            .collect();
+        seed.sort_unstable_by_key(|&(ts, k)| (ts, k.hash_key()));
+        for (ts, k) in seed {
+            self.note_install(k, ts);
+        }
     }
 
     /// Records a hit on a tracked page.
@@ -201,6 +218,11 @@ impl QuotaTable {
         self.stats
     }
 
+    /// Checks every per-tenant LRU's structure ([`LruIndex::check`]).
+    pub fn check_lrus(&self) -> MosaicResult<()> {
+        self.own_lru.values().try_for_each(LruIndex::check)
+    }
+
     /// ASIDs that currently have a quota set (for invariant checks).
     pub fn quota_asids(&self) -> impl Iterator<Item = Asid> + '_ {
         self.quotas.keys().copied()
@@ -245,6 +267,18 @@ mod tests {
         // Touching an untracked page does not insert it.
         t.note_touch(k(1, 99), 40);
         assert!(!t.tracks(&k(1, 99)));
+    }
+
+    #[test]
+    fn adopt_tracks_only_unseen_pages_of_the_tenant() {
+        let mut t = QuotaTable::new();
+        t.note_install(k(1, 0), 5);
+        // Pages resident before the table existed, plus another tenant's.
+        t.adopt(Asid(1), [(k(1, 0), 5), (k(1, 2), 3), (k(1, 1), 1), (k(2, 0), 0)]);
+        assert_eq!(t.resident(Asid(1)), 3);
+        assert_eq!(t.resident(Asid(2)), 0);
+        assert_eq!(t.own_lru_oldest(Asid(1)), Some(k(1, 1)));
+        t.check_lrus().unwrap();
     }
 
     #[test]

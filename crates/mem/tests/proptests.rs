@@ -6,7 +6,7 @@ use mosaic_mem::clock::ClockMemory;
 use mosaic_mem::lru::LruIndex;
 use mosaic_mem::prelude::*;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn drive(manager: &mut dyn MemoryManager, pattern: &[u64]) {
     let mut now = 0;
@@ -35,6 +35,73 @@ fn check_conservation(manager: &dyn MemoryManager, pattern: &[u64]) -> Result<()
     // Every touched page is resident or reclaimable, never lost: spot
     // check that re-access works for the most recent pages.
     Ok(())
+}
+
+/// The reference model of `LruIndex`: `(timestamp, touch tick) -> key`
+/// plus the key's current position.
+type LruModel = (BTreeMap<(u64, u64), u32>, HashMap<u32, (u64, u64)>);
+
+/// Full-state oracle: `lru` iterates exactly the model's order, reports
+/// every key's model timestamp (absent keys included), and passes its own
+/// structural check.
+fn assert_lru_matches(
+    lru: &LruIndex<u32>,
+    model: &BTreeMap<(u64, u64), u32>,
+    pos: &HashMap<u32, (u64, u64)>,
+    keys: std::ops::Range<u32>,
+) -> Result<(), TestCaseError> {
+    let want: Vec<(u32, u64)> = model.iter().map(|(&(t, _), &k)| (k, t)).collect();
+    let got: Vec<(u32, u64)> = lru.iter_oldest().collect();
+    prop_assert_eq!(got, want);
+    for k in keys {
+        prop_assert_eq!(lru.timestamp(&k), pos.get(&k).map(|p| p.0), "key {}", k);
+    }
+    if let Err(e) = lru.check() {
+        prop_assert!(false, "structure broken: {e}");
+    }
+    Ok(())
+}
+
+/// One step of the mostly-in-order LRU workload.
+#[derive(Debug, Clone)]
+enum LruOp {
+    /// Advance the clock by `d` (0 makes a tie) and touch at the new time.
+    Forward(u32, u64),
+    /// Touch `back` ticks before the clock without advancing it.
+    BackDated(u32, u64),
+    Remove(u32),
+    Pop,
+}
+
+/// Mostly non-decreasing touches, with rare back-dated ones and frequent
+/// ties, so both the append path and the walk-back path run.
+fn lru_ops() -> impl Strategy<Value = Vec<LruOp>> {
+    // Out of 38: 30 in-order touches, 2 back-dated, 3 removes, 3 pops.
+    let op = (0u8..38, 0u32..64, 0u64..40).prop_map(|(sel, k, n)| match sel {
+        0..=29 => LruOp::Forward(k, n % 3),
+        30..=31 => LruOp::BackDated(k, n),
+        32..=34 => LruOp::Remove(k),
+        _ => LruOp::Pop,
+    });
+    prop::collection::vec(op, 1..500)
+}
+
+/// One step driven against `LinuxMemory`.
+#[derive(Debug, Clone)]
+enum LinuxOp {
+    Access(u16, u64, bool),
+    Release(u16),
+    SetQuota(u16, usize, u8),
+}
+
+fn linux_ops() -> impl Strategy<Value = Vec<LinuxOp>> {
+    // Out of 43: 40 accesses, 1 exit, 2 quota changes.
+    let op = (0u8..43, 1u16..4, 0u64..220, 0u8..6).prop_map(|(sel, a, v, x)| match sel {
+        0..=39 => LinuxOp::Access(a, v, x % 2 == 1),
+        40 => LinuxOp::Release(a),
+        _ => LinuxOp::SetQuota(a, v as usize % 160, x % 3),
+    });
+    prop::collection::vec(op, 1..600)
 }
 
 proptest! {
@@ -122,6 +189,7 @@ proptest! {
                 lru.peek_oldest(),
                 model.iter().next().map(|(&(t, _), &k)| (k, t))
             );
+            assert_lru_matches(&lru, &model, &pos, 0..50)?;
         }
     }
 
@@ -165,6 +233,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(lru.len(), model.len());
+            assert_lru_matches(&lru, &model, &pos, 0..20)?;
         }
         // Drain the remainder: full eviction order must agree.
         while let Some(popped) = lru.pop_oldest() {
@@ -176,6 +245,89 @@ proptest! {
             prop_assert_eq!(Some(popped), expect);
         }
         prop_assert!(model.is_empty());
+    }
+
+    /// LruIndex agrees with the reference model, state for state, on the
+    /// access pattern real callers produce: a non-decreasing clock with
+    /// ties, plus rare back-dated touches that take the walk-back path.
+    #[test]
+    fn lru_index_mostly_in_order_matches_model(ops in lru_ops()) {
+        let mut lru: LruIndex<u32> = LruIndex::new();
+        let (mut model, mut pos): LruModel = Default::default();
+        let (mut clock, mut tick) = (0u64, 0u64);
+        for op in ops {
+            let touch = match op {
+                LruOp::Forward(k, d) => {
+                    clock += d;
+                    Some((k, clock))
+                }
+                LruOp::BackDated(k, b) => Some((k, clock.saturating_sub(b))),
+                LruOp::Remove(k) => {
+                    let expect = pos.remove(&k).map(|p| {
+                        model.remove(&p);
+                        p.0
+                    });
+                    prop_assert_eq!(lru.remove(&k), expect);
+                    None
+                }
+                LruOp::Pop => {
+                    let expect = model.pop_first().map(|((t, _), k)| {
+                        pos.remove(&k);
+                        (k, t)
+                    });
+                    prop_assert_eq!(lru.pop_oldest(), expect);
+                    None
+                }
+            };
+            if let Some((k, ts)) = touch {
+                tick += 1;
+                if let Some(p) = pos.insert(k, (ts, tick)) {
+                    model.remove(&p);
+                }
+                model.insert((ts, tick), k);
+                lru.touch(k, ts);
+            }
+            prop_assert_eq!(lru.len(), model.len());
+            prop_assert_eq!(
+                lru.peek_oldest(),
+                model.first_key_value().map(|(&(t, _), &k)| (k, t))
+            );
+            assert_lru_matches(&lru, &model, &pos, 0..64)?;
+        }
+    }
+
+    /// `LinuxMemory` keeps every structural invariant — its exact-LRU
+    /// index's links and timestamps included — after every step of
+    /// generated access, exit and quota sequences, with quotas on and off.
+    #[test]
+    fn linux_verify_holds_after_every_step(ops in linux_ops(), quotas_on in any::<bool>()) {
+        let layout = MemoryLayout::new(IcebergConfig::paper_default(8)); // 512 frames
+        let mut mm = LinuxMemory::new(layout);
+        let mut now = 0u64;
+        for op in ops {
+            match op {
+                LinuxOp::Access(asid, vpn, write) => {
+                    now += 1;
+                    let kind = if write { AccessKind::Store } else { AccessKind::Load };
+                    match mm.try_access(PageKey::new(Asid::new(asid), Vpn::new(vpn)), kind, now) {
+                        Ok(_) | Err(MosaicError::QuotaExceeded { .. }) => {}
+                        Err(e) => prop_assert!(false, "unexpected error: {e}"),
+                    }
+                }
+                LinuxOp::Release(asid) => {
+                    mm.release_asid(Asid::new(asid));
+                }
+                LinuxOp::SetQuota(asid, frames, priority) => {
+                    if quotas_on {
+                        mm.set_quota(Asid::new(asid), TenantQuota { frames, priority });
+                    }
+                }
+            }
+            if let Err(e) = mm.verify() {
+                prop_assert!(false, "after {:?}: {e}", op);
+            }
+            prop_assert_eq!(mm.resident_frames() + mm.free_frames(), mm.num_frames());
+        }
     }
 
     /// Per-tenant quota caps hold after every operation, for both

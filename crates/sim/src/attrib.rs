@@ -40,7 +40,6 @@ use crate::dual::reference_os;
 use crate::fig6::{run_fig6_cell, CellSpec, TlbKind};
 use crate::os::USER_ASID;
 use crate::parallel::{run_grid, RunOpts};
-use crate::pressure::ResilienceConfig;
 use crate::report::{group_digits, Table};
 use crate::trace_buffer::TraceBufferBuilder;
 use mosaic_mem::{
@@ -48,7 +47,7 @@ use mosaic_mem::{
     TenantQuota, PAGE_SIZE,
 };
 use mosaic_mmu::{Arity, Associativity, TlbStats};
-use mosaic_obs::{AttribCategory, AttribCell, ObsHandle, Value};
+use mosaic_obs::{AttribCategory, AttribCell, Value};
 use mosaic_workloads::{GupsConfig, Workload};
 
 /// The ASID carrying even-numbered pages of the trace (never quota'd).
@@ -75,9 +74,6 @@ pub struct AttribConfig {
     pub load_pct: u64,
     /// Run seed.
     pub seed: u64,
-    /// Fault injection rate (per million) for the memory-manager
-    /// cells; 0 disables the injectors entirely.
-    pub fault_ppm: u32,
 }
 
 impl AttribConfig {
@@ -96,7 +92,6 @@ impl AttribConfig {
             mem_buckets: 16,
             load_pct: 105,
             seed: 0xA77_121B,
-            fault_ppm: 0,
         }
     }
 
@@ -109,7 +104,6 @@ impl AttribConfig {
             mem_buckets: 8,
             load_pct: 105,
             seed: 42,
-            fault_ppm: 0,
         }
     }
 
@@ -260,35 +254,24 @@ enum AttribRow {
     Mem(MemAttribRow),
 }
 
-/// Runs the full experiment (both workloads) on `jobs` threads.
+/// Runs the full experiment (both workloads) under `opts`.
 ///
-/// Attribution columns are populated only when `obs` has attribution
-/// opted in ([`ObsHandle::set_attrib`]); with a plain or disabled
-/// handle the classified counts are zero while the raw [`TlbStats`]
-/// stay exact. Results and — when `obs` is enabled — the merged
-/// observability stream are byte-identical at any `jobs` value: there
-/// is a single record-once/replay-many engine, cells come back in
-/// input order, and fault-injector seeds derive from the cell index.
-pub fn run_attrib(
-    cfg: &AttribConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
-) -> AttribReport {
+/// Attribution columns are populated only when `opts.obs` has
+/// attribution opted in
+/// ([`ObsHandle::set_attrib`](mosaic_obs::ObsHandle::set_attrib)); with
+/// a plain or disabled handle the classified counts are zero while the
+/// raw [`TlbStats`] stay exact. Only the memory-manager cells inject
+/// `opts.faults`, each with an injector seed derived from its cell index.
+/// Results and — when `obs` is enabled — the merged observability
+/// stream are byte-identical at any `opts.jobs` value: there is a single
+/// record-once/replay-many engine and cells come back in input order.
+pub fn run_attrib(cfg: &AttribConfig, opts: &RunOpts) -> AttribReport {
     let mut report = AttribReport {
         tlb: Vec::new(),
         mem: Vec::new(),
     };
-    // Memory cells inject at the configured rate; their injector seeds
-    // derive from (seed, cell index) at every job count.
-    let opts = RunOpts {
-        faults: ResilienceConfig::from_ppm(cfg.fault_ppm, cfg.seed),
-        obs: obs.clone(),
-        obs_interval,
-        jobs,
-    };
     for wl in AttribWorkload::ALL {
-        run_one_workload(cfg, wl, &opts, &mut report);
+        run_one_workload(cfg, wl, opts, &mut report);
     }
     report
 }
@@ -669,6 +652,8 @@ pub fn render(report: &AttribReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pressure::ResilienceConfig;
+    use mosaic_obs::ObsHandle;
 
     fn attrib_handle() -> ObsHandle {
         let obs = ObsHandle::enabled();
@@ -677,7 +662,12 @@ mod tests {
     }
 
     fn quick_report(jobs: usize) -> AttribReport {
-        run_attrib(&AttribConfig::quick_test(), &attrib_handle(), 0, jobs)
+        let opts = RunOpts {
+            obs: attrib_handle(),
+            jobs,
+            ..RunOpts::default()
+        };
+        run_attrib(&AttribConfig::quick_test(), &opts)
     }
 
     #[test]
@@ -769,12 +759,16 @@ mod tests {
 
     #[test]
     fn obs_export_is_byte_identical_across_job_counts_with_faults() {
-        let mut cfg = AttribConfig::quick_test();
-        cfg.fault_ppm = 20_000;
+        let cfg = AttribConfig::quick_test();
         let export = |jobs| {
-            let obs = attrib_handle();
-            run_attrib(&cfg, &obs, 20_000, jobs);
-            obs.render_jsonl()
+            let opts = RunOpts {
+                faults: ResilienceConfig::from_ppm(20_000, cfg.seed),
+                obs: attrib_handle(),
+                obs_interval: 20_000,
+                jobs,
+            };
+            run_attrib(&cfg, &opts);
+            opts.obs.render_jsonl()
         };
         let one = export(1);
         assert_eq!(one, export(2));
@@ -800,7 +794,7 @@ mod tests {
 
     #[test]
     fn plain_handle_keeps_stats_but_no_attribution() {
-        let r = run_attrib(&AttribConfig::quick_test(), &ObsHandle::noop(), 0, 1);
+        let r = run_attrib(&AttribConfig::quick_test(), &RunOpts::default());
         for row in &r.tlb {
             assert!(row.stats.misses > 0);
             assert_eq!(row.classified(), 0, "attribution off must charge nothing");

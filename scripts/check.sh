@@ -156,6 +156,16 @@ echo "==> attribution golden gate (must reproduce results_attrib.txt)"
 ./target/release/attrib --jobs 4 > "$OBS_TMP/atgold.txt" 2>/dev/null
 cmp "$OBS_TMP/atgold.txt" results_attrib.txt
 
+echo "==> exact-LRU golden gates (table3, ablation, walkcost must reproduce their results_*.txt)"
+# Every manager, quota table and walk cache behind these reclaims through
+# mem::lru::LruIndex, so they pin its eviction order end to end.
+./target/release/table3 --buckets 64 --runs 3 --jobs 4 > "$OBS_TMP/t3gold.txt" 2>/dev/null
+cmp "$OBS_TMP/t3gold.txt" results_table3.txt
+./target/release/ablation --buckets 48 --jobs 4 > "$OBS_TMP/abgold.txt" 2>/dev/null
+cmp "$OBS_TMP/abgold.txt" results_ablation.txt
+./target/release/walkcost > "$OBS_TMP/wcgold.txt" 2>/dev/null
+cmp "$OBS_TMP/wcgold.txt" results_walkcost.txt
+
 echo "==> bench-delta (warn-only) vs BENCH_*.json baselines committed at HEAD"
 for s in obs parallel tenants isolation step iceberg; do
   if git show "HEAD:BENCH_${s}.json" > "$OBS_TMP/BENCH_${s}.base.json" 2>/dev/null; then
